@@ -216,6 +216,7 @@ class InstanceIndex:
         cov: np.ndarray,
         weights: list | None,
         user_pos: Mapping[str, int] | None = None,
+        group_pos: dict[GroupKey, int] | None = None,
     ) -> "InstanceIndex":
         """Assemble an index from pre-built CSR arrays.
 
@@ -246,11 +247,13 @@ class InstanceIndex:
             # mapped checkpoint) pass the id→row mapping through instead:
             # enumerating here would decode the whole id array.
             user_pos = {u: i for i, u in enumerate(users)}
+        if group_pos is None:
+            group_pos = {key: gid for gid, key in enumerate(group_keys)}
         return cls(
             users=users,
             user_pos=user_pos,
             group_keys=group_keys,
-            group_pos={key: gid for gid, key in enumerate(group_keys)},
+            group_pos=group_pos,
             u_indptr=u_indptr,
             u_indices=u_indices,
             g_indptr=g_indptr,
@@ -270,38 +273,69 @@ class InstanceIndex:
         active groups ``G_d ∪ G_d?`` and rescales priority weights; doing
         that on the dict-based instance re-walks every membership set in
         Python.  Here the restriction is pure array work on the existing
-        CSR arrays: group rows are sliced and re-numbered, the user-side
-        CSR is rebuilt with the same stable counting sort as
-        :meth:`build`, and ``weights`` (exact Python ints, parallel to
+        CSR arrays, with no sort: every user row of ``u_indices`` is
+        strictly ascending (the row-order invariant all construction
+        paths keep), so filtering out the dropped groups and renumbering
+        the rest through a monotone map leaves each row ascending in the
+        new ids — the same arrays a fresh transpose would produce, in
+        O(nnz).  When no group is dropped the CSR arrays are shared with
+        this index by reference and only ``wei``/``initial_gains`` are
+        new.  ``weights`` (exact Python ints, parallel to
         ``group_dense_ids``) replace the originals.  The user id space is
         kept whole — users left with no active group simply have empty
         rows and zero initial gain, which selects identically to absent
         users.
+
+        ``group_dense_ids`` must be strictly ascending (hence duplicate
+        free) dense ids of this index; the monotone renumbering depends
+        on it.
         """
         group_dense_ids = np.asarray(group_dense_ids, dtype=np.int64)
         m = len(group_dense_ids)
-        sizes = self.row_sizes(group_dense_ids)
-        g_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sizes, out=g_indptr[1:])
-        g_indices = self.members_of_rows(group_dense_ids)
-        entry_group = np.repeat(np.arange(m, dtype=id_dtype(m)), sizes)
-        order = np.argsort(g_indices, kind="stable")
-        u_indices = entry_group[order]
-        degree = np.bincount(
-            g_indices, minlength=self.n_users
-        ).astype(np.int64)
-        u_indptr = np.zeros(self.n_users + 1, dtype=np.int64)
-        np.cumsum(degree, out=u_indptr[1:])
+        if m and (
+            (np.diff(group_dense_ids) <= 0).any()
+            or group_dense_ids[0] < 0
+            or group_dense_ids[-1] >= self.n_groups
+        ):
+            raise ValueError(
+                "restricted_scaled requires strictly ascending dense "
+                "group ids"
+            )
+        g_dtype = id_dtype(m)
+        if m == self.n_groups:
+            # Strictly ascending and complete: the identity restriction.
+            group_keys, group_pos = self.group_keys, self.group_pos
+            u_indptr = self.u_indptr
+            u_indices = self.u_indices.astype(g_dtype, copy=False)
+            g_indptr = self.g_indptr
+            g_indices = self.g_indices
+            cov = self.cov
+        else:
+            group_keys = tuple(self.group_keys[g] for g in group_dense_ids)
+            group_pos = None
+            renumber = np.full(self.n_groups, -1, dtype=g_dtype)
+            renumber[group_dense_ids] = np.arange(m, dtype=g_dtype)
+            mapped = renumber[self.u_indices]
+            keep = mapped >= 0
+            u_indices = mapped[keep]
+            kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept_before[1:])
+            u_indptr = kept_before[self.u_indptr]
+            g_indptr = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum(self.row_sizes(group_dense_ids), out=g_indptr[1:])
+            g_indices = self.members_of_rows(group_dense_ids)
+            cov = self.cov[group_dense_ids]
         return InstanceIndex.from_csr(
             users=self.users,
-            group_keys=tuple(self.group_keys[g] for g in group_dense_ids),
+            group_keys=group_keys,
             u_indptr=u_indptr,
             u_indices=u_indices,
             g_indptr=g_indptr,
             g_indices=g_indices,
-            cov=self.cov[group_dense_ids].copy(),
+            cov=cov,
             weights=weights,
             user_pos=self.user_pos,
+            group_pos=group_pos,
         )
 
     def take_rows(self, rows: np.ndarray) -> "InstanceIndex":

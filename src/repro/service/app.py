@@ -1134,11 +1134,23 @@ _STATUS_LINES = {
 }
 
 
-def _read_json(environ: dict[str, Any]) -> dict[str, Any]:
+def _content_length(environ: dict[str, Any]) -> int:
+    """The request's declared body length; negative lengths are a 400.
+
+    ``wsgi.input.read(-1)`` reads to EOF, so honoring a negative length
+    would hold the handler thread until the client closes its socket.
+    """
     try:
         length = int(environ.get("CONTENT_LENGTH") or 0)
     except ValueError:
-        length = 0
+        return 0
+    if length < 0:
+        raise ServiceError(f"invalid Content-Length: {length}")
+    return length
+
+
+def _read_json(environ: dict[str, Any]) -> dict[str, Any]:
+    length = _content_length(environ)
     raw = environ["wsgi.input"].read(length) if length else b"{}"
     try:
         document = json.loads(raw.decode() or "{}")

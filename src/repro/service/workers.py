@@ -74,13 +74,14 @@ from socketserver import ThreadingMixIn
 from typing import Any, Callable
 from wsgiref.simple_server import WSGIServer
 
-from ..core.errors import PodiumError
+from ..core.errors import PodiumError, ServiceError
 from ..datasets.io import profiles_from_dict
 from .app import (
     _JSON,
     _QuietHandler,
     _STATUS_LINES,
     PodiumService,
+    _content_length,
     _dispatch,
     make_wsgi_app,
     parse_profile_delta,
@@ -664,18 +665,20 @@ def _forward_request(
     start_response: Callable,
 ) -> list[bytes]:
     started = time.perf_counter()
-    try:
-        length = int(environ.get("CONTENT_LENGTH") or 0)
-    except ValueError:
-        length = 0
-    body = environ["wsgi.input"].read(length) if length else b""
     error: str | None = None
     try:
-        status, payload = runtime.forward(method, path, body)
-    except (OSError, ValueError, KeyError) as exc:
-        status = 503
-        payload = {"error": f"writer unavailable: {exc}"}
+        length = _content_length(environ)
+    except ServiceError as exc:
+        status, payload = 400, {"error": str(exc)}
         error = str(exc)
+    else:
+        body = environ["wsgi.input"].read(length) if length else b""
+        try:
+            status, payload = runtime.forward(method, path, body)
+        except (OSError, ValueError, KeyError) as exc:
+            status = 503
+            payload = {"error": f"writer unavailable: {exc}"}
+            error = str(exc)
     seconds = time.perf_counter() - started
     route = f"{method} {path}"
     service.metrics.observe_request(

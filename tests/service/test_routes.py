@@ -22,6 +22,8 @@ from repro.service import (
     make_wsgi_app,
 )
 
+from .raw_http import post_declaring_length
+
 
 @pytest.fixture()
 def service():
@@ -202,6 +204,26 @@ class TestErrorPayloads:
         status, body = client("POST", "/select", raw=b"[1, 2]")
         assert status == 400
         assert "error" in body
+
+    def test_negative_content_length_is_json_400(self, service):
+        app = make_wsgi_app(service)
+        environ = {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": "/select",
+            "QUERY_STRING": "",
+            "CONTENT_LENGTH": "-1",
+            "wsgi.input": io.BytesIO(b'{"configuration": "two"}'),
+        }
+        captured = {}
+
+        def start_response(status, headers):
+            captured["status"] = int(status.split()[0])
+
+        body = json.loads(b"".join(app(environ, start_response)))
+        assert captured["status"] == 400
+        assert "Content-Length" in body["error"]
+        # The body was never read: read(-1) would have consumed it.
+        assert environ["wsgi.input"].tell() == 0
 
     def test_unexpected_failure_is_json_500(self, service):
         app = make_wsgi_app(service)
@@ -403,6 +425,23 @@ class TestThreadedServer:
             # One build, seven cache hits.
             assert service.metrics.cache_misses == 1
             assert service.metrics.cache_hits == 7
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=10)
+
+    def test_negative_content_length_answers_without_eof(self, service):
+        httpd = make_http_server(service, "127.0.0.1", 0)
+        port = httpd.server_address[1]
+        thread = threading.Thread(
+            target=httpd.serve_forever, daemon=True
+        )
+        thread.start()
+        try:
+            for path in ("/select", "/profiles/delta"):
+                status, body = post_declaring_length(port, path, -1)
+                assert status == 400, path
+                assert "Content-Length" in body["error"]
         finally:
             httpd.shutdown()
             httpd.server_close()

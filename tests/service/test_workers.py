@@ -25,6 +25,8 @@ from repro.datasets import example_repository
 from repro.datasets.io import save_profiles
 from repro.service import DiversificationConfiguration, PodiumService
 
+from .raw_http import post_declaring_length
+
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="pre-fork pool needs POSIX fork"
 )
@@ -199,6 +201,21 @@ class TestPoolEndToEnd:
             assert "wal_seq" not in ack  # no store: nothing durable
             for _ in range(8):
                 assert request(port, "/health")["users"] == 6
+        finally:
+            assert stop(server, signal.SIGTERM) == 0
+
+    def test_negative_content_length_is_400(self, profiles_file):
+        # /profiles/delta is forwarded to the writer; /select is served
+        # by the worker itself.  Neither may wait for the client's EOF.
+        server, port, _ = boot(
+            ["--profiles", profiles_file, "--workers", "2"]
+        )
+        try:
+            for path in ("/profiles/delta", "/select") * 2:
+                status, body = post_declaring_length(port, path, -1)
+                assert status == 400, path
+                assert "Content-Length" in body["error"]
+            assert request(port, "/health")["users"] == 5
         finally:
             assert stop(server, signal.SIGTERM) == 0
 
