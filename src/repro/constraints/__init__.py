@@ -13,19 +13,19 @@ first-class selection mode on top of the paper's coverage objective:
   compose constraints with the matrix/sharded/stochastic methods and
   memory-mapped checkpoint indexes.
 
-Each solver has a pure-Python oracle twin
-(:func:`~repro.constraints.fair.fair_select_oracle`,
-:func:`~repro.constraints.clustered.clustered_select_oracle`) pinned by
-exact-parity sweeps in ``tests/constraints``.
+Both solvers run the shared greedy kernel of :mod:`repro.core.greedy`
+(the fair one as a feasibility gate, the clustered repair round from a
+starting coverage).  Each has a pure-Python oracle twin in
+``tests/oracles/constraints.py``, pinned by exact-parity sweeps in
+``tests/constraints``.
 """
 
 from .clustered import (
     ClusterSolve,
-    clustered_select_oracle,
     clustered_select_rows,
     partition_rows,
 )
-from .fair import diagnose_floors, fair_select_oracle, fair_select_rows
+from .fair import diagnose_floors, fair_select_rows
 from .feasibility import (
     eligibility_mask,
     eligible_user_filter,
@@ -47,13 +47,11 @@ __all__ = [
     "ClusterSpec",
     "ConstrainedSelectionResult",
     "ConstraintSpec",
-    "clustered_select_oracle",
     "clustered_select_rows",
     "constrained_select",
     "diagnose_floors",
     "eligibility_mask",
     "eligible_user_filter",
-    "fair_select_oracle",
     "fair_select_rows",
     "keys_by_property",
     "partition_rows",

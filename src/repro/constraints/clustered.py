@@ -40,10 +40,8 @@ import numpy as np
 
 from ..baselines.clustering import kmeans
 from ..baselines.stratified import proportional_apportionment
-from ..core.index import InstanceIndex, _segment_sums
-from ..core.instance import DiversificationInstance
-from ..core.scoring import CoverageState
-from ..core.weights import Weight
+from ..core.greedy import _greedy_kernel, select_from_index
+from ..core.index import InstanceIndex
 from .spec import ClusterSpec
 
 
@@ -140,73 +138,6 @@ def _trim_zero_tail(
     return rows[:keep], gains[:keep]
 
 
-def _conditioned_rows_loop(
-    index: InstanceIndex,
-    rows: np.ndarray,
-    budget: int,
-    remaining: np.ndarray,
-) -> tuple[list[int], list[int], int]:
-    """Greedy over ``rows`` conditioned on pre-consumed group coverage.
-
-    The repair round's engine: ``remaining`` carries each group's
-    leftover coverage requirement after the per-cluster picks, so every
-    gain here is the true marginal gain relative to the combined
-    selection.  Same recurrence and tie-break as
-    :func:`~repro.core.greedy._rows_loop`.
-    """
-    assert index.wei is not None
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.size
-    effective = np.where(remaining > 0, index.wei, 0).astype(np.int64)
-    gain = _segment_sums(effective[index.u_indices], index.u_indptr)[rows]
-    dense_to_row = np.full(index.n_users, -1, dtype=np.int64)
-    dense_to_row[rows] = np.arange(n, dtype=np.int64)
-    remaining = np.array(remaining, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    picked: list[int] = []
-    gains: list[int] = []
-    score = 0
-    for _ in range(budget):
-        if not active.any():
-            break
-        masked = np.where(active, gain, np.int64(-1))
-        row = int(np.argmax(masked))
-        realized = int(masked[row])
-        active[row] = False
-        picked.append(int(rows[row]))
-        gains.append(realized)
-        score += realized
-        touched = np.asarray(
-            index.groups_of_row(int(rows[row])), dtype=np.int64
-        )
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = np.asarray(
-                index.members_of_rows(exhausted), dtype=np.int64
-            )
-            weights = np.repeat(
-                index.wei[exhausted], index.row_sizes(exhausted)
-            )
-            candidate = dense_to_row[members]
-            keep = candidate >= 0
-            np.subtract.at(gain, candidate[keep], weights[keep])
-    return picked, gains, score
-
-
-def _row_hits(index: InstanceIndex, rows: list[int]) -> np.ndarray:
-    """``|S ∩ G|`` per group for a dense-row selection."""
-    if not rows:
-        return np.zeros(index.n_groups, dtype=np.int64)
-    parts = [
-        np.asarray(index.groups_of_row(r), dtype=np.int64) for r in rows
-    ]
-    return np.bincount(
-        np.concatenate(parts), minlength=index.n_groups
-    ).astype(np.int64)
-
-
 def clustered_select_rows(
     index: InstanceIndex,
     cluster_spec: ClusterSpec,
@@ -234,8 +165,6 @@ def clustered_select_rows(
     ``partition`` lets callers supply a precomputed (cached) partition;
     it must come from :func:`partition_rows` on the same index.
     """
-    from ..core.greedy import select_from_index
-
     assert index.wei is not None
     if partition is None:
         partition = partition_rows(index, cluster_spec)
@@ -292,97 +221,20 @@ def clustered_select_rows(
     repair: list[int] = []
     slack = budget - len(picked)
     if slack > 0:
-        taken = set(picked)
-        leftover = np.asarray(
-            [r for r in pool.tolist() if r not in taken], dtype=np.int64
-        )
+        taken = np.zeros(index.n_users, dtype=bool)
+        taken[picked] = True
+        leftover = pool[~taken[pool]]
         if leftover.size:
-            hits = _row_hits(index, picked)
-            remaining = np.maximum(index.cov - hits, 0)
-            repair, repair_gains, _ = _conditioned_rows_loop(
-                index, leftover, slack, remaining
+            # Gains conditioned on the cluster picks: the kernel starts
+            # from the coverage they left unmet.
+            remaining = np.maximum(index.cov - index.row_hits(picked), 0)
+            picks, repair_gains, _ = _greedy_kernel(
+                index, leftover, slack, remaining=remaining
             )
+            repair = [int(leftover[p]) for p in picks]
             picked.extend(repair)
             gains.extend(repair_gains)
 
-    hits = _row_hits(index, picked)
+    hits = index.row_hits(picked)
     score = int(np.sum(index.wei * np.minimum(hits, index.cov)))
     return picked, gains, score, solves, repair
-
-
-def clustered_select_oracle(
-    instance: DiversificationInstance,
-    partition: list[tuple[str, list[str]]],
-    budget: int,
-) -> tuple[list[str], list[Weight], Weight]:
-    """Pure-Python clustered greedy over the dict-based instance.
-
-    The exact-parity twin of :func:`clustered_select_rows` with
-    ``method="matrix"``: the same largest-remainder apportionment, an
-    eager per-cluster greedy with the trailing zero-gain trim, and a
-    conditioned eager repair round — all on dict/set structures, no
-    arrays.  ``partition`` carries user-id lists (the id-decoded output
-    of :func:`partition_rows`, or any partition under test).
-    """
-    seats = proportional_apportionment(
-        [len(members) for _label, members in partition], budget
-    )
-    selected: list[str] = []
-    gains: list[Weight] = []
-    for (_label, members), share in zip(partition, seats):
-        if share == 0:
-            continue
-        state = CoverageState(instance)
-        pool = sorted(members)
-        marg: dict[str, Weight] = {
-            u: state.marginal_gain(u) for u in pool
-        }
-        remaining = set(pool)
-        cluster_gains: list[Weight] = []
-        cluster_picks: list[str] = []
-        for _ in range(share):
-            if not remaining:
-                break
-            best = max(marg[u] for u in remaining)
-            chosen = min(u for u in remaining if marg[u] == best)
-            remaining.discard(chosen)
-            cluster_gains.append(state.add(chosen))
-            for key in state.last_exhausted():
-                weight = instance.wei[key]
-                for member in instance.groups.group(key).members:
-                    if member in remaining:
-                        marg[member] -= weight
-            cluster_picks.append(chosen)
-        while cluster_gains and cluster_gains[-1] == 0:
-            cluster_gains.pop()
-            cluster_picks.pop()
-        selected.extend(cluster_picks)
-        gains.extend(cluster_gains)
-
-    slack = budget - len(selected)
-    if slack > 0:
-        state = CoverageState(instance)
-        for user in selected:
-            state.add(user)
-        taken = set(selected)
-        leftover = sorted(
-            u
-            for _label, members in partition
-            for u in members
-            if u not in taken
-        )
-        for _ in range(slack):
-            if not leftover:
-                break
-            best = max(state.marginal_gain(u) for u in leftover)
-            chosen = min(
-                u for u in leftover if state.marginal_gain(u) == best
-            )
-            leftover.remove(chosen)
-            gains.append(state.add(chosen))
-            selected.append(chosen)
-
-    final = CoverageState(instance)
-    for user in selected:
-        final.add(user)
-    return selected, gains, final.score

@@ -29,23 +29,24 @@ feasibility, diagnosed — never silent).  When every floor is met and no
 candidate remains feasible (e.g. ceilings sum below the budget), the
 solver stops early like an exhausted pool.
 
-Every array decision mirrors :func:`repro.core.greedy._rows_loop`
-(int64 gain vector, masked argmax with the first-max = minimal-user-id
-tie-break, ``np.subtract.at`` exhausted-group propagation), so the
-pure-Python oracle :func:`fair_select_oracle` matches it pick for pick.
+The solver is the shared greedy kernel
+(:func:`repro.core.greedy._greedy_kernel`: int64 gain vector, masked
+argmax with the first-max = minimal-user-id tie-break, exhausted-group
+propagation) with the ceilings and the floor reserve as its gate
+(:class:`_FairGate`), so the pure-Python oracle in
+``tests/oracles/constraints.py`` matches it pick for pick.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.errors import InfeasibleConstraintError
-from ..core.groups import GroupKey
+from ..core.greedy import _greedy_kernel
 from ..core.index import InstanceIndex
-from ..core.instance import DiversificationInstance
-from ..core.scoring import CoverageState
 from ..core.weights import Weight
-from .feasibility import eligibility_mask, keys_by_property
 from .spec import ConstraintSpec
 
 
@@ -151,6 +152,62 @@ def _infeasible_deficit(
     )
 
 
+class _FairGate:
+    """Ceilings and the floor reserve, as a :func:`_greedy_kernel` gate.
+
+    Built once per solve by the kernel (``gate(locate, n)``); ``locate``
+    maps dense rows to the solve's slot positions.  ``open`` marks the
+    slots no full ceiling blocks — a ceiling-0 group is full from the
+    start, which makes it a plain exclusion (customization's must-not
+    rule) — and ``counts`` holds ``|S ∩ G|`` per group.
+    """
+
+    def __init__(
+        self,
+        index: InstanceIndex,
+        fa: _FairArrays,
+        budget: int,
+        locate,
+        n: int,
+    ) -> None:
+        self.index = index
+        self.fa = fa
+        self.budget = budget
+        self.locate = locate
+        self.counts = np.zeros(index.n_groups, dtype=np.int64)
+        self.open = np.ones(n, dtype=bool)
+        self._block(fa.ceil_gids[fa.ceil_req == 0])
+
+    def _block(self, full: np.ndarray) -> None:
+        positions, known = self.locate(self.index.members_of_rows(full))
+        self.open[positions[known]] = False
+
+    def feasible(self, active: np.ndarray, picked: int) -> np.ndarray:
+        """Open candidates that keep every property's floors reachable."""
+        fa = self.fa
+        feasible = active & self.open
+        if not fa.n_props:
+            return feasible
+        floor_def = np.maximum(fa.floor_req - self.counts[fa.floor_gids], 0)
+        prop_def = np.bincount(
+            fa.floor_prop, weights=floor_def, minlength=fa.n_props
+        ).astype(np.int64)
+        slots_after = self.budget - picked - 1
+        for p in np.flatnonzero(prop_def > slots_after):
+            unmet = fa.floor_gids[(fa.floor_prop == p) & (floor_def > 0)]
+            positions, known = self.locate(self.index.members_of_rows(unmet))
+            reduction = np.bincount(positions[known], minlength=active.size)
+            feasible &= reduction >= int(prop_def[p]) - slots_after
+        return feasible
+
+    def update(self, touched: np.ndarray) -> None:
+        """Count a pick's groups; block members of newly full ceilings."""
+        self.counts[touched] += 1
+        full = touched[self.counts[touched] == self.fa.ceil_limit[touched]]
+        if full.size:
+            self._block(full)
+
+
 def fair_select_rows(
     index: InstanceIndex,
     spec: ConstraintSpec,
@@ -162,236 +219,35 @@ def fair_select_rows(
 ) -> tuple[list[int], list[Weight], int]:
     """Fair greedy over dense rows; returns ``(rows, gains, score)``.
 
-    The constrained twin of :func:`repro.core.greedy._rows_loop`: same
-    recurrence, same tie-break, with the per-pick argmax restricted to
-    feasible candidates.  ``rows`` defaults to every row and must be
-    strictly ascending.  ``sample_size`` restricts each step to a
-    uniform sample of the *feasible* candidates (stochastic greedy over
-    the feasible region); a sample covering them all degenerates to the
-    exact argmax, so ``sample_ratio=1.0`` reproduces the deterministic
-    fair selections for any ``sample_rng``.
+    The shared greedy kernel with :class:`_FairGate` restricting each
+    pick to feasible candidates: same recurrence, same tie-break.
+    ``rows`` defaults to every row and must be strictly ascending.
+    ``sample_size`` restricts each step to a uniform sample of the
+    *feasible* candidates (stochastic greedy over the feasible region);
+    a sample covering them all degenerates to the exact argmax, so
+    ``sample_ratio=1.0`` reproduces the deterministic fair selections
+    for any ``sample_rng``.
     """
-    assert index.wei is not None and index.initial_gains is not None
-    if rows is None:
-        rows = np.arange(index.n_users, dtype=np.int64)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
     fa = _FairArrays(index, spec)
     diagnose_floors(index, spec, budget, rows)
-    n = rows.size
-    gain = np.asarray(index.initial_gains[rows]).astype(np.int64)
-    dense_to_row = np.full(index.n_users, -1, dtype=np.int64)
-    dense_to_row[rows] = np.arange(n, dtype=np.int64)
-    remaining = np.array(index.cov, dtype=np.int64)
-    counts = np.zeros(index.n_groups, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    # Ceiling-0 groups are plain exclusions — the shared eligibility
-    # helper customization's must-not rule also runs on.
-    zero_keys = [
-        index.group_keys[int(g)]
-        for g in fa.ceil_gids[fa.ceil_req == 0]
-    ]
-    if zero_keys:
-        eligible = eligibility_mask(index, forbidden=zero_keys)
-        active &= eligible[rows]
-    picked: list[int] = []
-    gains: list[Weight] = []
-    score = 0
-    for _ in range(budget):
-        floor_def = np.maximum(fa.floor_req - counts[fa.floor_gids], 0)
-        feasible = active
-        if fa.n_props:
-            prop_def = np.bincount(
-                fa.floor_prop, weights=floor_def, minlength=fa.n_props
-            ).astype(np.int64)
-            slots_after = budget - len(picked) - 1
-            tight = np.flatnonzero(prop_def > slots_after)
-            if tight.size:
-                feasible = feasible.copy()
-                for p in tight:
-                    unmet = fa.floor_gids[
-                        (fa.floor_prop == p) & (floor_def > 0)
-                    ]
-                    reduction = np.zeros(n, dtype=np.int64)
-                    member_rows = dense_to_row[index.members_of_rows(unmet)]
-                    member_rows = member_rows[member_rows >= 0]
-                    np.add.at(reduction, member_rows, 1)
-                    feasible &= reduction >= (
-                        int(prop_def[p]) - slots_after
-                    )
-        if not feasible.any():
-            if int(floor_def.sum()) > 0:
-                raise _infeasible_deficit(index, fa, floor_def)
-            break  # every floor met, no pick allowed: stop early
-        if sample_size is not None:
-            candidates = np.flatnonzero(feasible)
-            if sample_size < candidates.size:
-                assert sample_rng is not None
-                pick = sample_rng.choice(
-                    candidates.size, size=sample_size, replace=False
-                )
-                # Sorted sample keeps argmax ties on the minimal user id.
-                candidates = candidates[np.sort(pick)]
-            row = int(candidates[int(np.argmax(gain[candidates]))])
-            realized = int(gain[row])
-        elif rng is None:
-            masked = np.where(feasible, gain, np.int64(-1))
-            row = int(np.argmax(masked))
-            realized = int(masked[row])
-        else:
-            masked = np.where(feasible, gain, np.int64(-1))
-            tied = np.flatnonzero(masked == masked.max())
-            row = int(tied[int(rng.integers(tied.size))])
-            realized = int(masked[row])
-        active[row] = False
-        dense = int(rows[row])
-        picked.append(dense)
-        gains.append(realized)
-        score += realized
-
-        touched = np.asarray(index.groups_of_row(dense), dtype=np.int64)
-        counts[touched] += 1
-        newly_full = touched[counts[touched] == fa.ceil_limit[touched]]
-        if newly_full.size:
-            blocked = dense_to_row[index.members_of_rows(newly_full)]
-            blocked = blocked[blocked >= 0]
-            active[blocked] = False
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = np.asarray(
-                index.members_of_rows(exhausted), dtype=np.int64
-            )
-            weights = np.repeat(
-                index.wei[exhausted], index.row_sizes(exhausted)
-            )
-            candidate = dense_to_row[members]
-            keep = candidate >= 0
-            np.subtract.at(gain, candidate[keep], weights[keep])
-
-    floor_def = np.maximum(fa.floor_req - counts[fa.floor_gids], 0)
+    slots = (
+        range(index.n_users)
+        if rows is None
+        else np.asarray(rows, dtype=np.int64)
+    )
+    picks, gains, score = _greedy_kernel(
+        index, slots, budget, rng,
+        sample_size=sample_size,
+        sample_rng=sample_rng,
+        gate=functools.partial(_FairGate, index, fa, budget),
+    )
+    picked = [int(slots[p]) for p in picks]
+    hits = index.row_hits(picked)
+    floor_def = np.maximum(fa.floor_req - hits[fa.floor_gids], 0)
     if int(floor_def.sum()) > 0:
-        # Budget exhausted with floors unmet can only happen through a
+        # The kernel stopped (no feasible candidate) or the budget ran
+        # out with floors unmet — the latter only through a
         # reserve-accounting gap (overlapping floor groups inside one
         # property); diagnose rather than return a violating selection.
         raise _infeasible_deficit(index, fa, floor_def)
     return picked, gains, score
-
-
-def fair_select_oracle(
-    instance: DiversificationInstance,
-    spec: ConstraintSpec,
-    budget: int,
-    candidates: list[str] | None = None,
-) -> tuple[list[str], list[Weight], Weight]:
-    """Pure-Python fair greedy over the dict-based instance.
-
-    The exact-parity twin of :func:`fair_select_rows`: same feasibility
-    rules evaluated per user with set arithmetic, same max-gain pick
-    with the minimal-user-id tie-break, same diagnosed infeasibility.
-    Deliberately does no array work — it is the oracle the parity sweep
-    trusts, in the style of the eager/matrix backend pairing.
-    """
-    groups = instance.groups
-    pool = sorted(
-        candidates
-        if candidates is not None
-        else {u for g in groups for u in g.members}
-    )
-    floors = spec.floor_map
-    ceilings = spec.ceiling_map
-    members_of = {
-        key: groups.group(key).members for key in {*floors, *ceilings}
-    }
-    pool_set = set(pool)
-    per_property: dict[str, int] = {}
-    for key, required in floors.items():
-        available = len(members_of[key] & pool_set)
-        if required > available:
-            raise InfeasibleConstraintError(
-                f"floor {required} for group {key} exceeds its "
-                f"{available} candidate member(s)"
-            )
-        label = key.property_label
-        per_property[label] = per_property.get(label, 0) + required
-    for label, total in per_property.items():
-        if total > budget:
-            raise InfeasibleConstraintError(
-                f"floors on property {label!r} sum to {total}, more than "
-                f"the budget {budget} (its buckets are disjoint)"
-            )
-    floor_families = keys_by_property(sorted(floors, key=str))
-
-    state = CoverageState(instance)
-    marg: dict[str, Weight] = {u: state.marginal_gain(u) for u in pool}
-    remaining = set(pool)
-    counts: dict[GroupKey, int] = {key: 0 for key in {*floors, *ceilings}}
-    selected: list[str] = []
-    gains: list[Weight] = []
-
-    def deficit(key: GroupKey) -> int:
-        return max(0, floors[key] - counts[key])
-
-    for _ in range(budget):
-        prop_deficit = {
-            label: sum(deficit(k) for k in keys)
-            for label, keys in floor_families.items()
-        }
-        slots_after = budget - len(selected) - 1
-        feasible: list[str] = []
-        for user in remaining:
-            blocked = any(
-                counts[key] >= limit and user in members_of[key]
-                for key, limit in ceilings.items()
-            )
-            if blocked:
-                continue
-            reserve_ok = True
-            for label, keys in floor_families.items():
-                if prop_deficit[label] <= slots_after:
-                    continue
-                reduction = sum(
-                    1
-                    for k in keys
-                    if deficit(k) > 0 and user in members_of[k]
-                )
-                if prop_deficit[label] - reduction > slots_after:
-                    reserve_ok = False
-                    break
-            if reserve_ok:
-                feasible.append(user)
-        if not feasible:
-            unmet = [k for k in floors if deficit(k) > 0]
-            if unmet:
-                worst = max(unmet, key=lambda k: (deficit(k), str(k)))
-                raise InfeasibleConstraintError(
-                    f"no feasible candidate remains while floor for group "
-                    f"{worst} is short by {deficit(worst)} member(s); "
-                    f"relax the floors, raise conflicting ceilings or "
-                    f"increase the budget"
-                )
-            break
-        best = max(marg[u] for u in feasible)
-        chosen = min(u for u in feasible if marg[u] == best)
-        remaining.discard(chosen)
-        gains.append(state.add(chosen))
-        for key in counts:
-            if chosen in members_of[key]:
-                counts[key] += 1
-        for key in state.last_exhausted():
-            weight = instance.wei[key]
-            for member in groups.group(key).members:
-                if member in remaining:
-                    marg[member] -= weight
-        selected.append(chosen)
-
-    unmet = [k for k in floors if deficit(k) > 0]
-    if unmet:
-        worst = max(unmet, key=lambda k: (deficit(k), str(k)))
-        raise InfeasibleConstraintError(
-            f"no feasible candidate remains while floor for group {worst} "
-            f"is short by {deficit(worst)} member(s); relax the floors, "
-            f"raise conflicting ceilings or increase the budget"
-        )
-    return selected, gains, state.score

@@ -2,15 +2,14 @@
 
 Customization's contradiction-avoidance rule (paper Def. 6.3: a user
 must sit in *some* must-have bucket of every constrained property and
-in *no* must-not group) and the fair solver's hard exclusions
-(``ceiling = 0`` groups) are the same computation: a boolean
-eligibility mask over dense user rows driven by forbidden groups and
-per-property required-bucket families.  This module is the single
-implementation both consume —
-:func:`repro.core.customization._refine_mask_index` delegates here, and
-:mod:`repro.constraints.fair` seeds its blocked-row state from the same
-mask, which is what pins ``custom_select``'s G₊/G₋ as the degenerate
-``floors=1`` / ``ceilings=0`` case of a :class:`ConstraintSpec`.
+in *no* must-not group) is a boolean eligibility mask over dense user
+rows driven by forbidden groups and per-property required-bucket
+families; :func:`repro.core.customization._refine_mask_index` delegates
+here.  The fair solver's hard exclusions (``ceiling = 0`` groups) block
+exactly the rows a forbidden group removes — its gate treats such a
+group as full from the start — which is what pins ``custom_select``'s
+G₊/G₋ as the degenerate ``floors=1`` / ``ceilings=0`` case of a
+:class:`ConstraintSpec`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ from typing import Any
 import numpy as np
 
 from ..core.errors import InvalidBudgetError, PodiumError
-from ..core.greedy import SelectionResult, _rows_loop, _stochastic_sample_size
+from ..core.greedy import (
+    SelectionResult,
+    _candidate_slots,
+    _sampling,
+    _shard_union,
+)
 from ..core.groups import GroupKey
 from ..core.index import InstanceIndex
 from .clustered import (
@@ -110,35 +115,17 @@ class ConstrainedSelectionResult:
 
 
 def _bound_reports(
+    hits: np.ndarray,
     index: InstanceIndex,
-    rows: list[int],
     bounds: tuple[tuple[GroupKey, int], ...],
     is_floor: bool,
 ) -> tuple[BoundReport, ...]:
-    if not bounds:
-        return ()
-    hits = np.zeros(index.n_groups, dtype=np.int64)
-    for row in rows:
-        hits[np.asarray(index.groups_of_row(row), dtype=np.int64)] += 1
     reports = []
     for key, bound in bounds:
         achieved = int(hits[index.group_pos[key]])
         satisfied = achieved >= bound if is_floor else achieved <= bound
         reports.append(BoundReport(key, bound, achieved, satisfied))
     return tuple(reports)
-
-
-def _candidate_rows(
-    index: InstanceIndex, candidates: list[str] | None
-) -> np.ndarray | None:
-    if candidates is None:
-        return None
-    rows = sorted(
-        pos
-        for pos in (index.user_pos.get(u) for u in set(candidates))
-        if pos is not None
-    )
-    return np.asarray(rows, dtype=np.int64)
 
 
 def _fair_union_rows(
@@ -161,17 +148,9 @@ def _fair_union_rows(
     backend, quality-gated by the constraints bench instead.
     """
     assert index.initial_gains is not None
-    if shards < 1:
-        raise PodiumError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, int(rows.size)) or 1
-    perm = np.random.default_rng(shard_seed).permutation(rows.size)
-    union: set[int] = set()
-    for i in range(shards):
-        shard_rows = np.sort(rows[perm[i::shards]])
-        picked, _gains, _score = _rows_loop(
-            index, shard_rows, 2 * budget, None
-        )
-        union.update(picked)
+    union = set(
+        rows[_shard_union(index, rows, budget, shards, 1, shard_seed)].tolist()
+    )
     pool_mask = np.zeros(index.n_users, dtype=bool)
     pool_mask[rows] = True
     for key, required in spec.floors:
@@ -225,7 +204,7 @@ def constrained_select(
             "big-int or non-integer weights are not supported"
         )
     spec.validate_for_index(index)
-    rows = _candidate_rows(index, candidates)
+    rows = None if candidates is None else _candidate_slots(index, candidates)
 
     if spec.clusters is not None:
         picked, gains, score, solves, repair = clustered_select_rows(
@@ -268,13 +247,9 @@ def constrained_select(
         )
     elif method == "stochastic":
         pool_size = int(rows.size) if rows is not None else index.n_users
-        size = _stochastic_sample_size(
-            pool_size, budget, epsilon, sample_ratio
-        )
-        sample_rng = rng if rng is not None else np.random.default_rng(0)
         picked, gains, score = fair_select_rows(
             index, spec, budget, rows,
-            sample_size=size, sample_rng=sample_rng,
+            **_sampling(pool_size, budget, rng, epsilon, sample_ratio),
         )
     elif method == "sharded":
         pool = (
@@ -299,13 +274,12 @@ def constrained_select(
         gains=tuple(gains),
         instance=None,
     )
+    hits = index.row_hits(picked)
     return ConstrainedSelectionResult(
         result=result,
         spec=spec,
-        floors=_bound_reports(index, picked, spec.floors, is_floor=True),
-        ceilings=_bound_reports(
-            index, picked, spec.ceilings, is_floor=False
-        ),
+        floors=_bound_reports(hits, index, spec.floors, is_floor=True),
+        ceilings=_bound_reports(hits, index, spec.ceilings, is_floor=False),
     )
 
 

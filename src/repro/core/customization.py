@@ -33,7 +33,7 @@ from .errors import (
     InvalidBudgetError,
     InvalidFeedbackError,
 )
-from .greedy import SelectionResult, _rows_loop, greedy_select
+from .greedy import SelectionResult, _greedy_kernel, greedy_select
 from .groups import GroupKey, GroupSet
 from .index import InstanceIndex, attach_index, instance_index
 from .instance import DiversificationInstance
@@ -450,10 +450,10 @@ def _custom_select_rows(
     """CUSTOM-DIVERSITY on dense rows (every repository user indexed).
 
     Selects identically to the id-pool path: the eligible rows ascend in
-    user-id order (the index invariant), so the row-loop's argmax
-    reproduces ``_matrix_loop(derived, sorted(pool), ...)`` pick for
-    pick, and ``refined_pool_size`` equals ``len(pool)`` because no user
-    sits outside the index.  Returns ``None`` when the *derived* index
+    user-id order (the index invariant), so the kernel over them
+    reproduces the id-pool path's matrix greedy pick for pick, and
+    ``refined_pool_size`` equals ``len(pool)`` because no user sits
+    outside the index.  Returns ``None`` when the *derived* index
     cannot vectorize (the priority rescale pushed a weight past int64) —
     the caller falls back to the exact dict path.
     """
@@ -472,11 +472,10 @@ def _custom_select_rows(
         return None
     rescaled = customized_instance(instance, feedback)
     attach_index(rescaled, derived)
-    picked, gains, score = _rows_loop(
-        derived, np.flatnonzero(eligible), budget, rng
-    )
+    rows = np.flatnonzero(eligible)
+    picks, gains, score = _greedy_kernel(derived, rows, budget, rng)
     result = SelectionResult(
-        selected=tuple(str(derived.users[r]) for r in picked),
+        selected=tuple(str(derived.users[rows[p]]) for p in picks),
         score=score,
         gains=tuple(gains),
         instance=rescaled,

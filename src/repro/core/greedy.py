@@ -45,7 +45,9 @@ Two additional backends trade a little quality guarantee for scale:
   deterministic greedy for any rng.
 
 Both fall back to the exact lazy path on non-vectorizable instances,
-like ``matrix``.  :func:`select_from_index` exposes the vectorized
+like ``matrix``.  The three array backends — and the customized,
+fair and clustered selections — all run one private kernel,
+:func:`_greedy_kernel`.  :func:`select_from_index` exposes the vectorized
 backends directly on an :class:`~repro.core.index.InstanceIndex`, so the
 columnar construction path can select without ever materializing
 dict-based ``UserRepository``/``GroupSet`` objects.
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBudgetError, PodiumError
-from .index import InstanceIndex, instance_index
+from .index import InstanceIndex, _segment_sums, instance_index
 from .instance import DiversificationInstance
 from .profiles import UserRepository
 from .scoring import CoverageState
@@ -180,21 +182,36 @@ def greedy_select(
         return _greedy_eager(pool, instance, budget, rng)
     if method == "lazy":
         return _greedy_lazy(pool, instance, budget, rng)
-    if method == "matrix":
-        return _greedy_matrix(pool, instance, budget, rng)
-    if method == "sharded":
-        return _greedy_sharded(
-            pool, instance, budget, rng,
-            shards=shards, jobs=jobs, shard_seed=shard_seed,
+    if method not in _ARRAY_METHODS:
+        raise PodiumError(
+            f"unknown greedy method {method!r}; use 'eager', 'lazy', "
+            f"'matrix', 'sharded' or 'stochastic'"
         )
-    if method == "stochastic":
-        return _greedy_stochastic(
-            pool, instance, budget, rng,
-            epsilon=epsilon, sample_ratio=sample_ratio,
-        )
-    raise PodiumError(
-        f"unknown greedy method {method!r}; use 'eager', 'lazy', "
-        f"'matrix', 'sharded' or 'stochastic'"
+    index = instance_index(instance)
+    if not index.vectorizable:
+        # Weights past int64: the exact lazy path (both GreeDi rounds on
+        # it for "sharded" — the scheme, not the backend, is what shards).
+        if method == "sharded":
+            return _greedy_lazy_sharded(
+                pool, instance, budget, rng, shards, jobs, shard_seed
+            )
+        return _greedy_lazy(pool, instance, budget, rng)
+    ordered = sorted(pool)
+    slots = np.fromiter(
+        (index.user_pos.get(u, -1) for u in ordered),
+        dtype=np.int64,
+        count=len(ordered),
+    )
+    picks, gains, score = _select_slots(
+        index, slots, budget, method, rng,
+        shards=shards, jobs=jobs, shard_seed=shard_seed,
+        epsilon=epsilon, sample_ratio=sample_ratio,
+    )
+    return SelectionResult(
+        selected=tuple(ordered[p] for p in picks),
+        score=score,
+        gains=tuple(gains),
+        instance=instance,
     )
 
 
@@ -294,47 +311,98 @@ def _greedy_lazy(
     )
 
 
-def _matrix_loop(
+#: Backends that run the vectorized kernel (with an exact lazy fallback
+#: when the instance's weights do not fit int64).
+_ARRAY_METHODS = ("matrix", "sharded", "stochastic")
+
+
+def _greedy_kernel(
     index: InstanceIndex,
-    ordered: list[str],
+    slots: range | np.ndarray,
     budget: int,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator | None = None,
+    *,
     sample_size: int | None = None,
     sample_rng: np.random.Generator | None = None,
-) -> tuple[list[str], list[Weight], int]:
-    """The vectorized eager recurrence shared by the array backends.
+    remaining: np.ndarray | None = None,
+    gate=None,
+) -> tuple[list[int], list[Weight], int]:
+    """The eager recurrence every array selection path runs on.
 
-    ``ordered`` must be sorted ascending so the first ``argmax`` is the
-    minimal tied user id — the eager tie-break.  When ``sample_size`` is
-    given, each step restricts the argmax to a uniform ``sample_rng``
-    sample of that many remaining candidates (stochastic greedy); a
-    sample covering every remaining candidate degenerates to the exact
-    deterministic argmax, so ``sample_size >= n`` reproduces the plain
-    matrix selections for any ``sample_rng``.
+    Candidates' marginal gains live in one int64 vector: picking is an
+    ``argmax`` and exhausted-group propagation is one unbuffered
+    scatter-subtract through the CSR incidence.
+
+    ``slots`` holds the candidates' dense rows in ascending user-id
+    order, so the first ``argmax`` is the minimal tied id — the eager
+    tie-break.  A slot of ``-1`` is a candidate the index does not know:
+    it sits in no group, keeps gain 0 and is picked in the zero-gain
+    tail at its id position.  A contiguous pool is passed as a
+    ``range``, for which no ``arange`` and no O(|U|) dense-to-slot map
+    is built — on a memory-mapped index the full-pool select and each
+    streaming shard touch only their own rows.
+
+    ``sample_size`` restricts each step to a uniform ``sample_rng``
+    sample of that many feasible candidates (stochastic greedy); a
+    sample covering them all degenerates to the exact argmax, so
+    ``sample_size >= len(slots)`` reproduces the deterministic picks for
+    any ``sample_rng``.  Otherwise ``rng`` breaks gain ties uniformly.
+
+    ``remaining`` is the starting per-group coverage still required
+    (default ``cov``); gains are then conditioned on whatever selection
+    consumed the rest.  ``gate`` is called once as ``gate(locate, n)``
+    and must return an object whose ``feasible(active, picked)`` gives
+    the mask of slots allowed for the next pick and whose
+    ``update(touched)`` records the dense groups of each pick;
+    ``locate(dense_rows)`` returns ``(positions, known)``, the slot of
+    every row and which rows are candidates.  The loop stops early when
+    no candidate is feasible.
+
+    Returns ``(picks, gains, score)``; picks are positions in ``slots``.
     """
     assert index.wei is not None and index.initial_gains is not None
-    n = len(ordered)
-    # Dense position of each candidate in the index (-1: in no group).
-    pos = np.fromiter(
-        (index.user_pos.get(u, -1) for u in ordered), dtype=np.int64, count=n
-    )
-    present = pos >= 0
-    gain = np.zeros(n, dtype=np.int64)
-    gain[present] = index.initial_gains[pos[present]]
-    # Inverse map dense index id -> candidate row (-1: not a candidate).
-    dense_to_row = np.full(index.n_users, -1, dtype=np.int64)
-    dense_to_row[pos[present]] = np.flatnonzero(present)
+    contiguous = isinstance(slots, range)
+    if remaining is None:
+        base = index.initial_gains
+        remaining = index.cov
+    else:
+        live = np.where(remaining > 0, index.wei, 0)
+        base = _segment_sums(live[index.u_indices], index.u_indptr)
+    remaining = np.array(remaining, dtype=np.int64)
+    if contiguous:
+        lo, n = slots.start, len(slots)
+        gain = np.asarray(base[lo:lo + n]).astype(np.int64)
 
-    remaining = index.cov.copy()
+        def locate(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            positions = np.asarray(dense, dtype=np.int64) - lo
+            return positions, (positions >= 0) & (positions < n)
+
+    else:
+        slots = np.asarray(slots, dtype=np.int64)
+        n = slots.size
+        known = slots >= 0
+        gain = np.zeros(n, dtype=np.int64)
+        gain[known] = base[slots[known]]
+        to_slot = np.full(index.n_users, -1, dtype=np.int64)
+        to_slot[slots[known]] = np.flatnonzero(known)
+
+        def locate(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            positions = to_slot[np.asarray(dense, dtype=np.int64)]
+            return positions, positions >= 0
+
+    check = gate(locate, n) if gate is not None else None
     active = np.ones(n, dtype=bool)
-    selected: list[str] = []
+    picks: list[int] = []
     gains: list[Weight] = []
     score = 0
     for _ in range(budget):
-        if not active.any():
+        feasible = (
+            active if check is None else check.feasible(active, len(picks))
+        )
+        if not feasible.any():
             break
         if sample_size is not None:
-            candidates = np.flatnonzero(active)
+            candidates = np.flatnonzero(feasible)
             if sample_size < candidates.size:
                 assert sample_rng is not None
                 pick = sample_rng.choice(
@@ -342,303 +410,53 @@ def _matrix_loop(
                 )
                 # Sorted sample keeps argmax ties on the minimal user id.
                 candidates = candidates[np.sort(pick)]
-            row = int(candidates[int(np.argmax(gain[candidates]))])
-            realized = int(gain[row])
-        elif rng is None:
-            masked = np.where(active, gain, np.int64(-1))
-            row = int(np.argmax(masked))
-            realized = int(masked[row])
+            slot = int(candidates[int(np.argmax(gain[candidates]))])
         else:
-            masked = np.where(active, gain, np.int64(-1))
-            tied = np.flatnonzero(masked == masked.max())
-            row = int(tied[int(rng.integers(tied.size))])
-            realized = int(masked[row])
-        active[row] = False
-        selected.append(ordered[row])
+            masked = np.where(feasible, gain, np.int64(-1))
+            if rng is None:
+                slot = int(np.argmax(masked))
+            else:
+                tied = np.flatnonzero(masked == masked.max())
+                slot = int(tied[int(rng.integers(tied.size))])
+        realized = int(gain[slot])
+        active[slot] = False
+        picks.append(slot)
         gains.append(realized)
         score += realized
 
-        if pos[row] < 0:
+        row = lo + slot if contiguous else int(slots[slot])
+        if row < 0:
             continue
-        touched = index.groups_of_row(int(pos[row]))
+        touched = np.asarray(index.groups_of_row(row), dtype=np.int64)
+        if check is not None:
+            check.update(touched)
         hit = touched[remaining[touched] > 0]
         remaining[hit] -= 1
         exhausted = hit[remaining[hit] == 0]
         if exhausted.size:
-            members = index.members_of_rows(exhausted)
-            weights = np.repeat(index.wei[exhausted], index.row_sizes(exhausted))
-            rows = dense_to_row[members]
-            keep = rows >= 0
-            np.subtract.at(gain, rows[keep], weights[keep])
-
-    return selected, gains, score
-
-
-def _range_loop(
-    index: InstanceIndex,
-    lo: int,
-    hi: int,
-    budget: int,
-    rng: np.random.Generator | None,
-    sample_size: int | None = None,
-    sample_rng: np.random.Generator | None = None,
-) -> tuple[list[int], list[Weight], int]:
-    """The eager recurrence over a contiguous dense-row range.
-
-    The dense-id twin of :func:`_matrix_loop` for the (common) case
-    where the candidate pool is every row in ``[lo, hi)``: no id
-    strings, no ``user_pos`` lookups and no ``dense_to_row`` inverse
-    array are ever built, so a memory-mapped index selects without
-    materializing a single per-user Python object.  Rows are already
-    sorted by user id (the index invariant), so the first ``argmax`` is
-    the minimal tied id and ``_range_loop(index, 0, n, ...)`` picks
-    exactly the rows of ``_matrix_loop(index, list(index.users), ...)``.
-    Returns dense row ids, not user ids — callers resolve only the
-    ≤ budget winners.
-    """
-    assert index.wei is not None and index.initial_gains is not None
-    n = hi - lo
-    gain = np.asarray(index.initial_gains[lo:hi]).astype(np.int64)
-    remaining = np.array(index.cov, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    picked: list[int] = []
-    gains: list[Weight] = []
-    score = 0
-    for _ in range(budget):
-        if not active.any():
-            break
-        if sample_size is not None:
-            candidates = np.flatnonzero(active)
-            if sample_size < candidates.size:
-                assert sample_rng is not None
-                pick = sample_rng.choice(
-                    candidates.size, size=sample_size, replace=False
-                )
-                # Sorted sample keeps argmax ties on the minimal user id.
-                candidates = candidates[np.sort(pick)]
-            row = int(candidates[int(np.argmax(gain[candidates]))])
-            realized = int(gain[row])
-        elif rng is None:
-            masked = np.where(active, gain, np.int64(-1))
-            row = int(np.argmax(masked))
-            realized = int(masked[row])
-        else:
-            masked = np.where(active, gain, np.int64(-1))
-            tied = np.flatnonzero(masked == masked.max())
-            row = int(tied[int(rng.integers(tied.size))])
-            realized = int(masked[row])
-        active[row] = False
-        picked.append(lo + row)
-        gains.append(realized)
-        score += realized
-
-        touched = np.asarray(index.groups_of_row(lo + row), dtype=np.int64)
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = np.asarray(
-                index.members_of_rows(exhausted), dtype=np.int64
-            )
+            positions, keep = locate(index.members_of_rows(exhausted))
             weights = np.repeat(
                 index.wei[exhausted], index.row_sizes(exhausted)
             )
-            inside = (members >= lo) & (members < hi)
-            np.subtract.at(gain, members[inside] - lo, weights[inside])
+            np.subtract.at(gain, positions[keep], weights[keep])
 
-    return picked, gains, score
+    return picks, gains, score
 
 
-def _rows_loop(
-    index: InstanceIndex,
-    rows: np.ndarray,
+def _sampling(
+    n: int,
     budget: int,
     rng: np.random.Generator | None,
-) -> tuple[list[int], list[Weight], int]:
-    """The eager recurrence over an arbitrary ascending dense-row set.
+    epsilon: float,
+    sample_ratio: float | None,
+) -> dict:
+    """Stochastic-greedy kernel arguments for a pool of ``n`` candidates.
 
-    Generalizes :func:`_range_loop` to a non-contiguous candidate pool
-    (the customization path's refined user set ``U'`` as a row mask):
-    no candidate id strings and no ``user_pos`` lookups are ever built,
-    so a memory-mapped index refines and selects without decoding any
-    id but the ≤ budget winners.  ``rows`` must be ascending so the
-    first ``argmax`` is the minimal tied user id; the picks equal
-    ``_matrix_loop(index, [index.users[r] for r in rows], ...)`` row
-    for row.  Returns dense row ids.
+    The per-step sample size is ``⌈(n/B)·ln(1/ε)⌉`` (or
+    ``⌈sample_ratio·n⌉``), clamped to ``[1, n]``.  ``rng`` drives the
+    sampling; without one a seed-0 generator keeps runs reproducible by
+    default.
     """
-    assert index.wei is not None and index.initial_gains is not None
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.size
-    gain = np.asarray(index.initial_gains[rows]).astype(np.int64)
-    dense_to_row = np.full(index.n_users, -1, dtype=np.int64)
-    dense_to_row[rows] = np.arange(n, dtype=np.int64)
-    remaining = np.array(index.cov, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    picked: list[int] = []
-    gains: list[Weight] = []
-    score = 0
-    for _ in range(budget):
-        if not active.any():
-            break
-        if rng is None:
-            masked = np.where(active, gain, np.int64(-1))
-            row = int(np.argmax(masked))
-            realized = int(masked[row])
-        else:
-            masked = np.where(active, gain, np.int64(-1))
-            tied = np.flatnonzero(masked == masked.max())
-            row = int(tied[int(rng.integers(tied.size))])
-            realized = int(masked[row])
-        active[row] = False
-        picked.append(int(rows[row]))
-        gains.append(realized)
-        score += realized
-
-        touched = np.asarray(index.groups_of_row(int(rows[row])), dtype=np.int64)
-        hit = touched[remaining[touched] > 0]
-        remaining[hit] -= 1
-        exhausted = hit[remaining[hit] == 0]
-        if exhausted.size:
-            members = np.asarray(
-                index.members_of_rows(exhausted), dtype=np.int64
-            )
-            weights = np.repeat(
-                index.wei[exhausted], index.row_sizes(exhausted)
-            )
-            candidate = dense_to_row[members]
-            keep = candidate >= 0
-            np.subtract.at(gain, candidate[keep], weights[keep])
-
-    return picked, gains, score
-
-
-def _greedy_matrix(
-    pool: list[str],
-    instance: DiversificationInstance,
-    budget: int,
-    rng: np.random.Generator | None,
-) -> SelectionResult:
-    """Vectorized eager greedy over the sparse instance index.
-
-    Maintains the same ``marg_{u,U}`` recurrence as the eager
-    implementation, but as one int64 gain vector: picking is an
-    ``argmax`` (candidates sit in sorted user-id order, so the first
-    maximum is the minimal tied id — the eager tie-break), coverage
-    decrements are CSR row gathers and exhausted-group propagation is a
-    single ``np.subtract.at`` scatter.  Instances whose weights are not
-    exactly representable in int64 fall back to the exact lazy path.
-    """
-    index = instance_index(instance)
-    if not index.vectorizable:
-        return _greedy_lazy(pool, instance, budget, rng)
-    selected, gains, score = _matrix_loop(index, sorted(pool), budget, rng)
-    return SelectionResult(
-        selected=tuple(selected),
-        score=score,
-        gains=tuple(gains),
-        instance=instance,
-    )
-
-
-def _shard_pools(
-    ordered: list[str], shards: int, shard_seed: int
-) -> list[list[str]]:
-    """Deterministically partition sorted candidates into sorted shards.
-
-    A seeded permutation deals users round-robin so shard sizes differ by
-    at most one and shard composition is independent of the original
-    clustering of ids — the random partition GreeDi's analysis assumes.
-    """
-    if shards < 1:
-        raise PodiumError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, len(ordered)) or 1
-    perm = np.random.default_rng(shard_seed).permutation(len(ordered))
-    return [
-        sorted(ordered[p] for p in perm[i::shards]) for i in range(shards)
-    ]
-
-
-def _greedy_sharded(
-    pool: list[str],
-    instance: DiversificationInstance,
-    budget: int,
-    rng: np.random.Generator | None,
-    shards: int,
-    jobs: int | None,
-    shard_seed: int,
-) -> SelectionResult:
-    """GreeDi two-round greedy: solve shards, exact greedy on the union.
-
-    Round 1 solves every shard independently with the deterministic
-    matrix backend (fanned out over forked workers when ``jobs > 1``);
-    round 2 runs one exact greedy over the ≤ 2·shards·budget shard picks
-    (each shard over-returns 2B winners to enrich the union).
-    ``rng`` only affects round-2 tie-breaks — shard solves stay
-    deterministic so the union, and hence the result under ``rng=None``,
-    depends only on ``(pool, instance, budget, shards, shard_seed)``.
-
-    With ``shards=1`` the union is greedy's own 2B-pick run, whose first
-    B picks are exactly the B-budget sequence; greedy re-run restricted
-    to a pool containing its own output re-picks the same sequence (each
-    pick is still the max-gain, min-id candidate in any subset
-    containing it), so the matrix selections are reproduced exactly.  Non-vectorizable instances run both rounds on the exact
-    lazy path — the scheme, not the backend, is what shards.
-    """
-    index = instance_index(instance)
-    if index.vectorizable:
-        selected, gains, score = _sharded_loop(
-            index, sorted(pool), budget, rng,
-            shards=shards, jobs=jobs, shard_seed=shard_seed,
-        )
-        return SelectionResult(
-            selected=tuple(selected),
-            score=score,
-            gains=tuple(gains),
-            instance=instance,
-        )
-    pools = _shard_pools(sorted(pool), shards, shard_seed)
-    shard_budget = 2 * budget
-
-    def solve(shard_pool: list[str]) -> list[str]:
-        return list(
-            _greedy_lazy(shard_pool, instance, shard_budget, None).selected
-        )
-
-    shard_picks = solve_shards(solve, pools, jobs=jobs)
-    union = sorted({u for picks in shard_picks for u in picks})
-    return _greedy_lazy(union, instance, budget, rng)
-
-
-def _sharded_loop(
-    index: InstanceIndex,
-    ordered: list[str],
-    budget: int,
-    rng: np.random.Generator | None,
-    shards: int,
-    jobs: int | None,
-    shard_seed: int,
-) -> tuple[list[str], list[Weight], int]:
-    """Both GreeDi rounds on the vectorized backend.
-
-    Each shard over-returns up to 2B winners (its B-budget sequence is
-    the prefix, so shards=1 exactness is unaffected): the richer union
-    measurably lifts the merge round's quality for a ~2x round-1 cost.
-    """
-    pools = _shard_pools(ordered, shards, shard_seed)
-    shard_budget = 2 * budget
-
-    def solve(shard_pool: list[str]) -> list[str]:
-        return _matrix_loop(index, shard_pool, shard_budget, None)[0]
-
-    shard_picks = solve_shards(solve, pools, jobs=jobs)
-    union = sorted({u for picks in shard_picks for u in picks})
-    return _matrix_loop(index, union, budget, rng)
-
-
-def _stochastic_sample_size(
-    n: int, budget: int, epsilon: float, sample_ratio: float | None
-) -> int:
-    """Per-step sample size ``⌈(n/B)·ln(1/ε)⌉``, clamped to ``[1, n]``."""
     if sample_ratio is not None:
         if not 0.0 < sample_ratio <= 1.0:
             raise PodiumError(
@@ -649,41 +467,135 @@ def _stochastic_sample_size(
         if not 0.0 < epsilon < 1.0:
             raise PodiumError(f"epsilon must lie in (0, 1), got {epsilon}")
         size = math.ceil((n / budget) * math.log(1.0 / epsilon))
-    return max(1, min(size, n))
+    return {
+        "sample_size": max(1, min(size, n)),
+        "sample_rng": rng if rng is not None else np.random.default_rng(0),
+    }
 
 
-def _greedy_stochastic(
+def _shard_positions(
+    n: int, shards: int, shard_seed: int
+) -> list[np.ndarray]:
+    """Deterministically partition ``n`` sorted candidates into shards.
+
+    A seeded permutation deals positions round-robin so shard sizes
+    differ by at most one and shard composition is independent of the
+    original clustering of ids — the random partition GreeDi's analysis
+    assumes.  Each shard's positions are ascending, so a shard of a
+    sorted pool is itself sorted.
+    """
+    if shards < 1:
+        raise PodiumError(f"shards must be >= 1, got {shards}")
+    shards = min(shards, n) or 1
+    perm = np.random.default_rng(shard_seed).permutation(n)
+    return [np.sort(perm[i::shards]) for i in range(shards)]
+
+
+def _shard_union(
+    index: InstanceIndex,
+    slots: np.ndarray,
+    budget: int,
+    shards: int,
+    jobs: int | None,
+    shard_seed: int,
+) -> np.ndarray:
+    """GreeDi round 1: ascending slot positions of every shard's winners.
+
+    Each shard over-returns up to 2B winners (its B-budget sequence is
+    the prefix, so ``shards=1`` exactness is unaffected): the richer
+    union measurably lifts the merge round's quality for a ~2x round-1
+    cost.  Shard solves are deterministic, so forking them over ``jobs``
+    workers changes nothing but wall-clock time.
+    """
+
+    def solve(part: np.ndarray) -> np.ndarray:
+        picks, _gains, _score = _greedy_kernel(index, slots[part], 2 * budget)
+        return part[picks]
+
+    parts = _shard_positions(len(slots), shards, shard_seed)
+    return np.unique(np.concatenate(solve_shards(solve, parts, jobs=jobs)))
+
+
+def _candidate_slots(
+    index: InstanceIndex, candidates: list[str] | None
+) -> range | np.ndarray:
+    """Ascending dense rows of ``candidates``; ids not indexed are dropped.
+
+    ``None`` means every row, as a ``range``: the kernel then builds no
+    per-user Python object, so a memory-mapped index decodes only the
+    winners' ids (``list(index.users)`` would materialize every id
+    string — at 5M users most of the out-of-core RSS budget).  Dense ids
+    ascend with user ids, so sorted rows are in id order.
+    """
+    if candidates is None:
+        return range(index.n_users)
+    rows = (index.user_pos.get(u) for u in set(candidates))
+    return np.asarray(
+        sorted(r for r in rows if r is not None), dtype=np.int64
+    )
+
+
+def _select_slots(
+    index: InstanceIndex,
+    slots: range | np.ndarray,
+    budget: int,
+    method: str,
+    rng: np.random.Generator | None,
+    *,
+    shards: int,
+    jobs: int | None,
+    shard_seed: int,
+    epsilon: float,
+    sample_ratio: float | None,
+) -> tuple[list[int], list[Weight], int]:
+    """Run one array backend over ``slots`` (see :func:`_greedy_kernel`).
+
+    ``"sharded"`` is GreeDi's two rounds: :func:`_shard_union`, then one
+    exact greedy over the union with ``rng`` breaking its ties.  With
+    ``shards=1`` the union is greedy's own 2B-pick run, which re-picks
+    its first B picks (each is still the max-gain, min-id candidate in
+    any subset containing it), so the matrix selections are reproduced
+    exactly.  Returns ``(picks, gains, score)`` with picks as positions
+    in ``slots``.
+    """
+    if method == "matrix":
+        return _greedy_kernel(index, slots, budget, rng)
+    if method == "stochastic":
+        return _greedy_kernel(
+            index, slots, budget,
+            **_sampling(len(slots), budget, rng, epsilon, sample_ratio),
+        )
+    if isinstance(slots, range):
+        slots = np.arange(slots.start, slots.stop, dtype=np.int64)
+    union = _shard_union(index, slots, budget, shards, jobs, shard_seed)
+    picks, gains, score = _greedy_kernel(index, slots[union], budget, rng)
+    return [int(union[p]) for p in picks], gains, score
+
+
+def _greedy_lazy_sharded(
     pool: list[str],
     instance: DiversificationInstance,
     budget: int,
     rng: np.random.Generator | None,
-    epsilon: float,
-    sample_ratio: float | None,
+    shards: int,
+    jobs: int | None,
+    shard_seed: int,
 ) -> SelectionResult:
-    """Stochastic greedy: each step argmaxes over a random sample.
-
-    ``rng`` drives the sampling only; ties within a sample always break
-    deterministically on the minimal user id.  When ``rng`` is ``None`` a
-    seed-0 generator is used so repeated calls reproduce the same
-    selections by default.  Non-vectorizable instances take the exact
-    lazy path (sampling a path that exists for speed would be pointless
-    when exactness is already forced).
-    """
-    index = instance_index(instance)
-    if not index.vectorizable:
-        return _greedy_lazy(pool, instance, budget, rng)
+    """GreeDi's two rounds on the exact lazy path (non-vectorizable)."""
     ordered = sorted(pool)
-    size = _stochastic_sample_size(len(ordered), budget, epsilon, sample_ratio)
-    sample_rng = rng if rng is not None else np.random.default_rng(0)
-    selected, gains, score = _matrix_loop(
-        index, ordered, budget, None, sample_size=size, sample_rng=sample_rng
-    )
-    return SelectionResult(
-        selected=tuple(selected),
-        score=score,
-        gains=tuple(gains),
-        instance=instance,
-    )
+    pools = [
+        [ordered[p] for p in part]
+        for part in _shard_positions(len(ordered), shards, shard_seed)
+    ]
+
+    def solve(shard_pool: list[str]) -> list[str]:
+        return list(
+            _greedy_lazy(shard_pool, instance, 2 * budget, None).selected
+        )
+
+    shard_picks = solve_shards(solve, pools, jobs=jobs)
+    union = sorted({u for picks in shard_picks for u in picks})
+    return _greedy_lazy(union, instance, budget, rng)
 
 
 def select_from_index(
@@ -756,58 +668,19 @@ def select_from_index(
                 instance=instance,
             )
         return result
-    if candidates is None and method in ("matrix", "stochastic"):
-        # Full-pool fast path: run over dense rows directly and resolve
-        # only the winners' ids.  On a memory-mapped index this is what
-        # keeps selection O(budget) in Python objects — `list(index.users)`
-        # would materialize every id string (and at 5M users, most of the
-        # out-of-core RSS budget) just to throw them away.
-        if method == "stochastic":
-            size = _stochastic_sample_size(
-                index.n_users, budget, epsilon, sample_ratio
-            )
-            sample_rng = rng if rng is not None else np.random.default_rng(0)
-            rows, gains, score = _range_loop(
-                index, 0, index.n_users, budget, None,
-                sample_size=size, sample_rng=sample_rng,
-            )
-        else:
-            rows, gains, score = _range_loop(
-                index, 0, index.n_users, budget, rng
-            )
-        return SelectionResult(
-            selected=tuple(str(index.users[r]) for r in rows),
-            score=score,
-            gains=tuple(gains),
-            instance=instance,
-        )
-    if candidates is None:
-        ordered = list(index.users)  # already sorted ascending
-    else:
-        ordered = sorted(u for u in set(candidates) if u in index.user_pos)
-    if method == "matrix":
-        selected, gains, score = _matrix_loop(index, ordered, budget, rng)
-    elif method == "sharded":
-        selected, gains, score = _sharded_loop(
-            index, ordered, budget, rng,
-            shards=shards, jobs=jobs, shard_seed=shard_seed,
-        )
-    elif method == "stochastic":
-        size = _stochastic_sample_size(
-            len(ordered), budget, epsilon, sample_ratio
-        )
-        sample_rng = rng if rng is not None else np.random.default_rng(0)
-        selected, gains, score = _matrix_loop(
-            index, ordered, budget, None,
-            sample_size=size, sample_rng=sample_rng,
-        )
-    else:
+    if method not in _ARRAY_METHODS:
         raise PodiumError(
             f"unknown index selection method {method!r}; use 'matrix', "
             f"'sharded' or 'stochastic'"
         )
+    slots = _candidate_slots(index, candidates)
+    picks, gains, score = _select_slots(
+        index, slots, budget, method, rng,
+        shards=shards, jobs=jobs, shard_seed=shard_seed,
+        epsilon=epsilon, sample_ratio=sample_ratio,
+    )
     return SelectionResult(
-        selected=tuple(selected),
+        selected=tuple(str(index.users[int(slots[p])]) for p in picks),
         score=score,
         gains=tuple(gains),
         instance=instance,
@@ -863,11 +736,11 @@ def select_sharded_streaming(
     def solve(
         shard_index: InstanceIndex, lo: int, hi: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        rows, row_gains, _ = _range_loop(
-            shard_index, lo, hi, shard_budget, None
+        picks, row_gains, _ = _greedy_kernel(
+            shard_index, range(lo, hi), shard_budget
         )
         return (
-            np.asarray(rows, dtype=np.int64),
+            np.asarray(picks, dtype=np.int64) + lo,
             np.asarray(row_gains, dtype=np.int64),
         )
 
@@ -878,7 +751,9 @@ def select_sharded_streaming(
         else np.empty(0, dtype=np.int64)
     )
     sub = index.take_rows(union_rows)
-    picked, gains, score = _range_loop(sub, 0, sub.n_users, budget, rng)
+    picked, gains, score = _greedy_kernel(
+        sub, range(sub.n_users), budget, rng
+    )
     return SelectionResult(
         selected=tuple(str(sub.users[r]) for r in picked),
         score=score,

@@ -436,25 +436,32 @@ class InstanceIndex:
             mask[self.g_indices].astype(np.int64), self.g_indptr
         )
 
-    def selection_hits(self, user_ids: Iterable[str]) -> np.ndarray:
-        """``|U ∩ G|`` per group, touching only the selected users' rows.
+    def row_hits(self, rows: Iterable[int]) -> np.ndarray:
+        """``|S ∩ G|`` per group for a set ``S`` of distinct dense rows.
 
-        Same exact counts as ``group_hits(selection_mask(user_ids))``,
-        but O(Σ_u deg(u)) over the selection instead of a pass over the
-        full incidence — for a budget-sized selection that is a few
-        hundred entries, not millions.  On a memory-mapped index only
-        the selected rows' pages fault in.  Duplicate and unknown ids
-        contribute nothing, exactly like the mask path.
+        Same exact counts as ``group_hits`` over the rows' mask, but
+        O(Σ_u deg(u)) over the selection instead of a pass over the full
+        incidence — for a budget-sized selection that is a few hundred
+        entries, not millions.  On a memory-mapped index only the
+        selected rows' pages fault in.
         """
-        rows = {self.user_pos.get(u) for u in user_ids}
-        rows.discard(None)
-        if not rows:
-            return np.zeros(self.n_groups, dtype=np.int64)
         parts = [self.groups_of_row(r) for r in rows]
+        if not parts:
+            return np.zeros(self.n_groups, dtype=np.int64)
         counts = np.bincount(
             np.concatenate(parts), minlength=self.n_groups
         )
         return counts.astype(np.int64, copy=False)
+
+    def selection_hits(self, user_ids: Iterable[str]) -> np.ndarray:
+        """``|U ∩ G|`` per group of a selection given by user id.
+
+        :meth:`row_hits` over the ids' rows; duplicate and unknown ids
+        contribute nothing, exactly like the mask path.
+        """
+        rows = {self.user_pos.get(u) for u in user_ids}
+        rows.discard(None)
+        return self.row_hits(rows)
 
     def subset_score(self, user_ids: Iterable[str]) -> Weight:
         """Exact ``score_G`` of a subset; requires :attr:`vectorizable`."""

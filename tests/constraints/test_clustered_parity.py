@@ -18,11 +18,11 @@ from repro.core.weights import (
 from repro.constraints import (
     ClusterSpec,
     ConstraintSpec,
-    clustered_select_oracle,
     constrained_select,
     partition_rows,
 )
 
+from ..oracles.constraints import clustered_select_oracle
 from .conftest import sweep_case
 
 WEIGHTS = (IdenWeights, LBSWeights)

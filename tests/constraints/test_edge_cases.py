@@ -23,9 +23,9 @@ from repro.constraints import (
     ClusterSpec,
     ConstraintSpec,
     constrained_select,
-    fair_select_oracle,
 )
 
+from ..oracles.constraints import fair_select_oracle
 from .conftest import sweep_case
 
 BUDGET = 6

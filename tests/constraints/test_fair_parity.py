@@ -3,8 +3,9 @@
 Mirrors ``tests/core/test_backend_parity.py``: every weight × coverage
 × seed combination must produce byte-identical selections, gains and
 scores between :func:`fair_select_rows` (via :func:`constrained_select`)
-and :func:`fair_select_oracle` — on the in-RAM index AND on a
-memory-mapped ``.npz`` checkpoint of the same index.
+and :func:`fair_select_oracle` (``tests/oracles/constraints.py``) — on
+the in-RAM index AND on a memory-mapped ``.npz`` checkpoint of the same
+index.
 """
 
 import numpy as np
@@ -18,8 +19,9 @@ from repro.core.weights import (
     PropCoverage,
     SingleCoverage,
 )
-from repro.constraints import constrained_select, fair_select_oracle
+from repro.constraints import constrained_select
 
+from ..oracles.constraints import fair_select_oracle
 from .conftest import fair_spec_for, sweep_case
 
 WEIGHTS = (IdenWeights, LBSWeights)

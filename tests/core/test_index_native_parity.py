@@ -19,12 +19,14 @@ from repro.core import (
     build_simple_groups,
     greedy_select,
     instance_index,
+    select_from_index,
 )
 from repro.core.customization import (
     CustomizationFeedback,
     custom_select,
     feedback_group_coverage,
 )
+from repro.core.errors import PodiumError
 from repro.core.explanations import _EXPLAIN_CACHE_ATTR, explain_selection
 from repro.core.index import attach_index
 from repro.core.persistence import (
@@ -189,7 +191,34 @@ class TestMappedCheckpointParity:
         assert counting.decoded < len(repo.user_ids) // 2
 
 
+class TestMappedMethodValidation:
+    def test_unknown_method_rejected_before_any_decode(self, tmp_path):
+        """A bad ``method`` fails fast: no user id is decoded first."""
+        _repo, _groups, make_instance = _case(LBSWeights, SingleCoverage)
+        path = tmp_path / "index.npz"
+        save_index_npz(instance_index(make_instance()), path)
+        mapped = open_index_npz(path)
+        counting = CountingLazyUserIds(mapped.users._ids)
+        object.__setattr__(mapped, "users", counting)
+        with pytest.raises(
+            PodiumError, match="unknown index selection method 'eager'"
+        ):
+            select_from_index(mapped, BUDGET, method="eager")
+        assert counting.decoded == 0
+
+
 class TestSelectionHits:
+    def test_row_hits_match_mask_path(self):
+        _repo, _, make_instance = _case(IdenWeights, PropCoverage)
+        idx = instance_index(make_instance())
+        rows = [0, 4, 9]
+        mask = np.zeros(idx.n_users, dtype=bool)
+        mask[rows] = True
+        np.testing.assert_array_equal(
+            idx.row_hits(rows), idx.group_hits(mask)
+        )
+        assert not idx.row_hits([]).any()
+
     def test_matches_mask_path(self):
         repo, _, make_instance = _case(LBSWeights, SingleCoverage)
         instance = make_instance()
