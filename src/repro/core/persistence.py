@@ -22,7 +22,6 @@ from __future__ import annotations
 import io
 import json
 import struct
-import warnings
 import zipfile
 import zlib
 from collections.abc import Mapping, Sequence
@@ -277,8 +276,7 @@ def save_index_npz(
     checkpoint.
 
     The default stores the arrays verbatim (``ZIP_STORED`` members) so
-    :func:`open_index_npz` / :func:`load_index_npz` can memory-map them
-    in place — the layout the serving tier depends on, where N forked
+    :func:`open_index_npz` can memory-map them in place — the layout the serving tier depends on, where N forked
     workers share one page-cache copy of the CSR payload instead of N
     private heap copies.  Pass ``compressed=True`` for DEFLATE members
     when the checkpoint is an archival/transfer artifact and mapping
@@ -340,11 +338,9 @@ def save_index_npz(
     fs.write_bytes(Path(path), buffer.getvalue())
 
 
-#: Array members of an index ``.npz`` that are worth memory-mapping: the
-#: CSR topology and integer payloads.  The unicode id/key arrays are
-#: converted to Python objects on load regardless, so mapping them buys
-#: nothing.
-_MMAP_MEMBERS = (
+#: Array members of an index ``.npz``: the CSR topology and integer
+#: payloads.
+_ARRAY_MEMBERS = (
     "u_indptr",
     "u_indices",
     "g_indptr",
@@ -419,8 +415,7 @@ def _mmap_npz_members(
     straight out of the archive with :class:`np.memmap` — no
     decompression, no heap copy, and the pages are shared between every
     process that maps the same file.  Members that turn out to be
-    compressed are skipped (the caller falls back to the eagerly-loaded
-    copy for those).
+    compressed are skipped (the caller reports them).
     """
     mapped: dict[str, np.ndarray] = {}
     for name, (offset, dtype, shape, fortran) in _stored_member_layouts(
@@ -496,21 +491,15 @@ def streamed_index_checksum(
     return crc & 0xFFFFFFFF
 
 
-def load_index_npz(path: str | Path, mmap: bool = False) -> InstanceIndex:
-    """Read an index checkpoint written by :func:`save_index_npz`.
+def load_index_npz(path: str | Path) -> InstanceIndex:
+    """Read an index checkpoint written by :func:`save_index_npz` eagerly.
 
     The CSR arrays come back verbatim (dtypes included), so selections
     over the loaded index are byte-identical to the original's.  The
     format version and array checksum are verified first (clear
     :class:`DatasetError` on mismatch); legacy header-less ``.npz``
-    checkpoints still load.
-
-    With ``mmap=True`` the big integer arrays are re-opened as read-only
-    memory maps of the archive *after* that checksum verification — for
-    checkpoints written with ``compressed=False`` this keeps the CSR
-    payload in the OS page cache (shared across forked serving workers)
-    instead of private process memory.  Compressed members silently fall
-    back to the eagerly-loaded copy, so ``mmap=True`` is always safe.
+    checkpoints still load, and so do DEFLATE-compressed ones — the
+    reader for checkpoints :func:`open_index_npz` cannot map.
     """
     path = Path(path)
     with np.load(path, allow_pickle=False) as data:
@@ -544,22 +533,7 @@ def load_index_npz(path: str | Path, mmap: bool = False) -> InstanceIndex:
             GroupKey(str(p), str(b))
             for p, b in zip(data["key_property"], data["key_bucket"])
         )
-        arrays = {name: data[name] for name in _MMAP_MEMBERS}
-    if mmap:
-        mapped = _mmap_npz_members(path, _MMAP_MEMBERS)
-        unmapped = [name for name in _MMAP_MEMBERS if name not in mapped]
-        if unmapped:
-            warnings.warn(
-                f"index checkpoint {path}: member(s) "
-                f"{', '.join(repr(n) for n in unmapped)} are "
-                f"DEFLATE-compressed and cannot be memory-mapped; falling "
-                f"back to eagerly-loaded copies for them.  Re-save the "
-                f"checkpoint with save_index_npz(..., compressed=False) to "
-                f"keep the CSR payload out of private process memory.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        arrays.update(mapped)
+        arrays = {name: data[name] for name in _ARRAY_MEMBERS}
     return InstanceIndex(
         users=users,
         user_pos={u: i for i, u in enumerate(users)},
@@ -653,9 +627,8 @@ class SortedIdPositions(Mapping):
 
 
 #: Members :func:`open_index_npz` maps instead of loading: the CSR
-#: topology, the integer payloads, and — unlike plain ``mmap=True`` —
-#: the fixed-width user-id array itself.
-_LAZY_MEMBERS = _MMAP_MEMBERS + ("users",)
+#: topology, the integer payloads and the fixed-width user-id array.
+_LAZY_MEMBERS = _ARRAY_MEMBERS + ("users",)
 
 #: Attribute attached to lazily opened indexes recording the checkpoint
 #: they were mapped from, so shard workers can re-open the same file
@@ -688,12 +661,12 @@ def index_npz_mappable(path: str | Path) -> bool:
 def open_index_npz(path: str | Path, verify: bool = True) -> InstanceIndex:
     """Open an uncompressed index checkpoint fully memory-mapped.
 
-    :func:`load_index_npz` — even with ``mmap=True`` — first loads every
-    member eagerly (the ``np.load`` pass plus the id tuple and its
-    inverse dict), which at millions of users costs more transient heap
-    than the selection it serves.  This opener never materializes the
-    payload: the small envelope and group-key members are read eagerly,
-    every large member (user ids included) is memory-mapped in place,
+    :func:`load_index_npz` loads every member eagerly (the ``np.load``
+    pass plus the id tuple and its inverse dict), which at millions of
+    users costs more transient heap than the selection it serves.  This
+    opener never materializes the payload: the small envelope and
+    group-key members are read eagerly, every large member (user ids
+    included) is memory-mapped in place,
     ``index.users`` becomes a :class:`LazyUserIds` sequence and
     ``index.user_pos`` a :class:`SortedIdPositions` binary-search
     mapping.  Resident cost is O(groups), independent of the user count.

@@ -11,17 +11,18 @@ applies a *profile delta* to an existing group set in place of a rebuild:
 * changed users are re-assigned to the frozen buckets;
 * weights and coverage are re-materialized from the updated group sizes.
 
-:func:`apply_delta` returns new objects; nothing is mutated, so an
-in-flight selection keeps a consistent snapshot.
+:func:`apply_delta_to_repository` and :func:`reassign_groups` return
+new objects; nothing is mutated, so an in-flight selection keeps a
+consistent snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .errors import InvalidDeltaError, UnknownUserError
-from .groups import Group, GroupingConfig, GroupSet
+from .groups import Group, GroupSet
 from .instance import DiversificationInstance
 from .profiles import UserProfile, UserRepository
 from .weights import CoverageScheme, LBSWeights, SingleCoverage, WeightScheme
@@ -173,89 +174,3 @@ def rebuild_instance(
         budget=budget,
         population_size=population,
     )
-
-
-@dataclass
-class IncrementalPodium:
-    """Convenience wrapper holding (repository, groups, instance) in sync.
-
-    ``update(delta)`` applies a batch and refreshes all three snapshots;
-    ``rebucket()`` forces the periodic full grouping-module run.
-
-    Bucket boundaries are frozen across updates and drift as the
-    population changes, so a deterministic *rebucket trigger policy*
-    bounds the drift: when the cumulative number of touched users since
-    the last full grouping run reaches ``rebucket_threshold`` as a
-    fraction of the current population, :meth:`update` re-runs the
-    grouping module (with ``grouping``, the config reused by every
-    triggered run) before returning.  The policy depends only on the
-    delta sequence — no clocks, no randomness — so replaying the same
-    deltas always rebuilds at the same points.  ``rebucket_threshold=None``
-    (the default) disables the trigger and preserves the manual-only
-    behaviour.
-    """
-
-    repository: UserRepository
-    groups: GroupSet
-    budget: int
-    weight_scheme: WeightScheme = field(default_factory=LBSWeights)
-    coverage_scheme: CoverageScheme = field(default_factory=SingleCoverage)
-    rebucket_threshold: float | None = None
-    grouping: GroupingConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.rebucket_threshold is not None and self.rebucket_threshold <= 0:
-            raise InvalidDeltaError(
-                f"rebucket_threshold must be positive, "
-                f"got {self.rebucket_threshold}"
-            )
-        self.touched_since_rebucket = 0
-        self.rebucket_count = 0
-        self.instance = rebuild_instance(
-            self.groups,
-            self.repository,
-            self.budget,
-            self.weight_scheme,
-            self.coverage_scheme,
-        )
-
-    def update(self, delta: ProfileDelta) -> None:
-        """Apply a profile delta incrementally (frozen buckets).
-
-        May end with a full grouping-module run when the touched-users
-        fraction crosses :attr:`rebucket_threshold`.
-        """
-        self.repository = apply_delta_to_repository(self.repository, delta)
-        self.groups = reassign_groups(self.groups, self.repository, delta)
-        self.touched_since_rebucket += len(delta.touched)
-        if self._rebucket_due():
-            self.rebucket(self.grouping)
-            return
-        self.instance = rebuild_instance(
-            self.groups,
-            self.repository,
-            self.budget,
-            self.weight_scheme,
-            self.coverage_scheme,
-        )
-
-    def _rebucket_due(self) -> bool:
-        if self.rebucket_threshold is None:
-            return False
-        population = max(len(self.repository), 1)
-        return self.touched_since_rebucket >= self.rebucket_threshold * population
-
-    def rebucket(self, grouping=None) -> None:
-        """Run the full grouping module again (periodic maintenance)."""
-        from .groups import build_simple_groups
-
-        self.groups = build_simple_groups(self.repository, grouping)
-        self.touched_since_rebucket = 0
-        self.rebucket_count += 1
-        self.instance = rebuild_instance(
-            self.groups,
-            self.repository,
-            self.budget,
-            self.weight_scheme,
-            self.coverage_scheme,
-        )

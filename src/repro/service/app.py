@@ -105,7 +105,10 @@ from ..core.persistence import index_source_path
 from ..storage import (
     DurableRepositoryStore,
     SnapshotArtifact,
+    SnapshotState,
     StreamingMaintainer,
+    snapshot_state_from_dict,
+    snapshot_state_to_dict,
 )
 from .concurrency import ReadWriteLock
 from .config import (
@@ -185,6 +188,20 @@ def parse_profile_delta(document: dict[str, Any]) -> ProfileDelta:
     return ProfileDelta(
         upserts=tuple(upserts),
         removals=frozenset(str(u) for u in removals_raw),
+    )
+
+
+def decode_replication_snapshot(
+    document: dict[str, Any],
+) -> tuple[SnapshotState, list[DiversificationConfiguration]]:
+    """Decode :meth:`PodiumService.replication_snapshot` for
+    :meth:`PodiumService.install_state`: ``(state, configurations)``."""
+    return (
+        snapshot_state_from_dict(document),
+        [
+            DiversificationConfiguration.from_dict(doc)
+            for doc in document.get("configurations", ())
+        ],
     )
 
 
@@ -275,82 +292,123 @@ class PodiumService:
             raise ServiceError("no profiles loaded")
         return self._repository
 
-    def load_repository(
-        self, repository: UserRepository, base_seq: int | None = None
-    ) -> None:
-        """Swap the user repository; invalidates all cached artifacts.
+    def load_repository(self, repository: UserRepository) -> None:
+        """Swap the user repository wholesale (a new epoch).
 
-        With a durable store attached this starts a new epoch: the
-        wholesale replacement is snapshotted immediately and the WAL is
-        truncated (its deltas describe the discarded population).
-        ``base_seq`` aligns the store's sequence numbering with a
-        replication primary's WAL position during follower bootstrap.
+        Goes through :meth:`install_state` with no frozen groups: every
+        configuration regroups against the new population, and a store
+        snapshots the new epoch with those groups.
         """
-        with self._lock.write():
-            self._repository = repository
-            self._generation += 1
-            self._cache.clear()
-            self._maintainers.clear()
-            if self.store is not None:
-                self.store.reset(repository, base_seq=base_seq)
+        self.install_state(SnapshotState(repository=repository))
 
     def restore_artifacts(self) -> list[str]:
-        """Seed the artifact cache from the store's recovered snapshot.
+        """Install the store's recovered state (boot recovery).
 
-        Called once at boot, *after* configurations are registered: each
-        recovered (config, groups, index) triple is adopted only when its
-        stored configuration dict matches the currently registered one —
-        a changed configuration must rebuild from scratch, not serve
-        stale buckets.  Restoring the frozen group sets is what makes a
-        restarted process answer ``/select`` identically: a fresh
-        regroup could legally draw different bucket boundaries than the
-        incremental reassignment path did before the restart.
+        Called once at boot, *after* configurations are registered; see
+        :meth:`install_state` for the adoption rule.  Restoring the
+        frozen group sets is what makes a restarted process answer
+        ``/select`` identically: a fresh regroup could legally draw
+        different bucket boundaries than the incremental reassignment
+        path did before the restart.
         """
         if self.store is None:
             return []
-        restored: list[str] = []
+        return self.install_state(
+            SnapshotState(
+                repository=self.store.repository,
+                artifacts=self.store.artifacts,
+            ),
+            new_epoch=False,
+        )
+
+    def install_state(
+        self,
+        state: SnapshotState,
+        configurations: list[DiversificationConfiguration] | None = None,
+        base_seq: int | None = None,
+        new_epoch: bool = True,
+    ) -> list[str]:
+        """Install a whole serving state: repository plus frozen groups.
+
+        The one path every wholesale change takes: boot recovery
+        (:meth:`restore_artifacts`), a profile load
+        (:meth:`load_repository`), a pool worker's full resync and a
+        replication follower's bootstrap.  ``configurations`` replaces
+        the registry (a receiver adopting a sender's registry).  Each
+        artifact is adopted only when its stored configuration dict
+        equals the registered configuration's — a changed configuration
+        must regroup, not serve stale buckets.  Its index, when present,
+        is attached to the default-budget instance.
+
+        With a store attached and ``new_epoch`` true (everything but
+        recovery, where the store already holds this state) every
+        registered configuration is grouped first, then the store starts
+        a new epoch whose snapshot carries those groups; ``base_seq``
+        aligns its sequence numbering with a replication primary's.
+
+        Returns the sorted names of the adopted artifacts.
+        """
         with self._lock.write():
-            for name, artifact in self.store.artifacts.items():
-                if name not in self._configurations:
-                    continue
-                config = self._configurations.get(name)
-                if artifact.config != config.to_dict():
-                    continue
-                started = time.perf_counter()
-                entry = _ConfigArtifacts(
-                    config=config,
-                    generation=self._generation,
-                    groups=artifact.groups,
-                    groups_version=artifact.groups.version,
+            if configurations is not None:
+                self._configurations = ConfigurationStore(
+                    tuple(configurations)
                 )
-                if artifact.index is not None:
-                    weight, coverage = config.schemes()
-                    instance = rebuild_instance(
-                        artifact.groups,
-                        self._repository_or_raise(),
-                        config.budget,
-                        weight,
-                        coverage,
-                    )
-                    attach_index(instance, artifact.index)
-                    entry.instances[config.budget] = instance
-                self._cache[name] = entry
-                restored.append(name)
-                # Adoption of a checkpoint artifact stands in for the
-                # grouping+instance build a cold boot would pay; recorded
-                # as its own stage so /metrics shows open-vs-build cost
-                # (stages.artifact_open next to stages.grouping /
-                # stages.instance).  Mapped opens (open_index_npz) are
-                # split from eager heap loads.
-                stage = (
-                    "artifact_open"
-                    if index_source_path(artifact.index) is not None
-                    else "artifact_open_eager"
+            self._repository = state.repository
+            self._generation += 1
+            self._cache.clear()
+            self._maintainers.clear()
+            adopted = [
+                name
+                for name, artifact in state.artifacts.items()
+                if name in self._configurations
+                and artifact.config
+                == self._configurations.get(name).to_dict()
+            ]
+            for name in adopted:
+                self._adopt_artifact(name, state.artifacts[name])
+            if self.store is not None and new_epoch:
+                timer = StageTimer()
+                for name in self._configurations.names():
+                    self._artifacts(name, timer)
+                self.store.reset(
+                    state.repository,
+                    base_seq=base_seq,
+                    artifacts=self._export_artifacts(),
                 )
-                self.metrics.observe_stage(
-                    stage, time.perf_counter() - started
-                )
-        return sorted(restored)
+        return sorted(adopted)
+
+    def _adopt_artifact(self, name: str, artifact: SnapshotArtifact) -> None:
+        """Seed one cache entry from a frozen artifact (write lock held)."""
+        config = self._configurations.get(name)
+        entry = _ConfigArtifacts(
+            config=config,
+            generation=self._generation,
+            groups=artifact.groups,
+            groups_version=artifact.groups.version,
+        )
+        if artifact.index is not None:
+            started = time.perf_counter()
+            weight, coverage = config.schemes()
+            instance = rebuild_instance(
+                artifact.groups,
+                self._repository_or_raise(),
+                config.budget,
+                weight,
+                coverage,
+            )
+            attach_index(instance, artifact.index)
+            entry.instances[config.budget] = instance
+            # Adoption of a checkpoint index stands in for the instance
+            # build a cold boot would pay; recorded as its own stage so
+            # /metrics shows open-vs-build cost.  Mapped opens
+            # (open_index_npz) are split from eager heap loads.
+            stage = (
+                "artifact_open"
+                if index_source_path(artifact.index) is not None
+                else "artifact_open_eager"
+            )
+            self.metrics.observe_stage(stage, time.perf_counter() - started)
+        self._cache[name] = entry
 
     def apply_profile_delta(self, delta: ProfileDelta) -> dict[str, Any]:
         """Apply a batch of upserts/removals incrementally (paper §9).
@@ -360,6 +418,12 @@ class PodiumService:
         the existing buckets and weights/coverage re-materialized, so the
         expensive offline bucketing step is skipped for every cached
         configuration.
+
+        With a store attached the delta is WAL-appended first and the
+        response carries its ``wal_seq``.  Without one — a pool worker
+        or a store-less follower replaying a delta another process made
+        durable — the same machinery applies it in memory only, so every
+        process converges to byte-identical serving state.
         """
         started = time.perf_counter()
         wal_seconds = 0.0
@@ -386,28 +450,6 @@ class PodiumService:
                 len(delta.removals),
                 time.perf_counter() - started,
                 wal_seconds,
-            )
-            return response
-
-    def apply_replicated_delta(self, delta: ProfileDelta) -> dict[str, Any]:
-        """Apply a delta that another process already made durable.
-
-        The follower path of multi-process serving: the writer process
-        WAL-appended and applied the delta, then published it on the
-        pool's replication ring; each worker replays it here through the
-        *same* incremental machinery (:meth:`_apply_delta_locked`), so
-        every process converges to byte-identical serving state without
-        touching the store.
-        """
-        started = time.perf_counter()
-        with self._lock.write():
-            if self._repository is None:
-                raise ServiceError("no profiles loaded")
-            response = self._apply_delta_locked(delta)
-            self.metrics.observe_ingest(
-                len(delta.upserts),
-                len(delta.removals),
-                time.perf_counter() - started,
             )
             return response
 
@@ -475,34 +517,40 @@ class PodiumService:
     # -- multi-process serving hooks ---------------------------------------
 
     def replication_snapshot(self) -> dict[str, Any]:
-        """Full serving state for a worker that cannot catch up by deltas.
+        """The handoff document of the whole serving state.
 
-        Ships the repository document plus every registered
-        configuration; the receiving worker rebuilds groups/instances
-        itself, which is deterministic given identical inputs — so a
-        fully-resynced worker answers ``/select`` exactly like the
-        writer.
+        The JSON form of the :class:`~repro.storage.SnapshotState` a
+        snapshot holds — the repository plus every cached
+        configuration's config dict and frozen group set (see
+        :func:`~repro.storage.snapshot.snapshot_state_to_dict`) — and
+        the registered configurations.  A pool worker's full resync and
+        a follower's bootstrap decode it with
+        :func:`decode_replication_snapshot` and hand it to
+        :meth:`install_state`, so the receiver serves the sender's
+        bucket boundaries, not a fresh regroup.
         """
-        from ..datasets.io import profiles_to_dict
-
         with self._lock.read():
-            document = {
-                "profiles": profiles_to_dict(self._repository_or_raise()),
-                "configurations": [
-                    self._configurations.get(name).to_dict()
-                    for name in self._configurations.names()
-                ],
-                "wal_seq": 0,
-                "reset_epoch": 0,
-            }
-            if self.store is not None:
-                # WAL-shipping bootstrap: the follower resumes tailing
-                # from exactly this position, in this epoch.  The key is
-                # "reset_epoch", not "epoch" — the pool writer's
-                # handle_sync merges this document under its own epoch
-                # counter and must not be clobbered.
-                document["wal_seq"] = self.store.last_seq
-                document["reset_epoch"] = self.store.reset_epoch
+            document = snapshot_state_to_dict(
+                SnapshotState(
+                    repository=self._repository_or_raise(),
+                    artifacts=self._export_artifacts(),
+                    wal_seq=(
+                        self.store.last_seq if self.store is not None else 0
+                    ),
+                )
+            )
+            document["configurations"] = [
+                self._configurations.get(name).to_dict()
+                for name in self._configurations.names()
+            ]
+            # WAL-shipping bootstrap: the follower resumes tailing from
+            # exactly "wal_seq", in this epoch.  The key is
+            # "reset_epoch", not "epoch" — the pool writer's handle_sync
+            # merges this document under its own epoch counter and must
+            # not be clobbered.
+            document["reset_epoch"] = (
+                self.store.reset_epoch if self.store is not None else 0
+            )
             return document
 
     def wal_records_since(
@@ -625,21 +673,6 @@ class PodiumService:
         with self._lock.write():
             self._configurations.put(config)
             self._cache.pop(config.name, None)
-
-    def replace_configurations(
-        self, configs: list[DiversificationConfiguration]
-    ) -> None:
-        """Replace the whole configuration registry (full resync).
-
-        Used by pool workers adopting the writer's state wholesale: the
-        registry is rebuilt and every cached artifact dropped, so the
-        next request regroups against exactly the writer's
-        configurations.
-        """
-        with self._lock.write():
-            self._configurations = ConfigurationStore(tuple(configs))
-            self._cache.clear()
-            self._maintainers.clear()
 
     def warm_artifacts(self) -> list[str]:
         """Build every configuration's default-budget serving artifacts.

@@ -2,12 +2,16 @@
 
 A follower boots with ``repro serve --follow http://primary:port``: it
 performs one full state transfer (``GET /admin/state`` — profiles,
-configurations and the primary's WAL position), then a background
-thread polls ``GET /admin/wal?from_seq=<applied>`` and replays every
-shipped delta through the service's *existing* incremental-update path
-— the same :func:`~repro.core.updates.apply_delta_to_repository` +
-``reassign_groups`` machinery a recovery replay uses — so the standby's
-serving state is byte-identical to the primary's at the same sequence
+configurations, every cached configuration's frozen group set and the
+primary's WAL position), then a background thread polls
+``GET /admin/wal?from_seq=<applied>`` and replays every shipped delta
+through the service's *existing* incremental-update path — the same
+:func:`~repro.core.updates.apply_delta_to_repository` +
+``reassign_groups`` machinery a recovery replay uses.  The transfer is
+installed through :meth:`~repro.service.app.PodiumService.install_state`,
+the path boot recovery takes, so the follower keeps the primary's bucket
+boundaries instead of regrouping; that is what makes the standby's
+serving state byte-identical to the primary's at the same sequence
 number.  While following, the service is read-only (writes answer 503);
 ``POST /admin/promote`` stops the tail and enables writes, turning the
 standby into a primary with every replicated ack intact.
@@ -17,7 +21,8 @@ Sequence alignment
 The primary's WAL sequence numbers are globally contiguous (numbering
 survives compaction, snapshots and restarts), so a follower running its
 own ``--data-dir`` bootstraps its store at the primary's position
-(``reset(repo, base_seq=primary_wal_seq)``) and then logs each shipped
+(``install_state(..., base_seq=primary_wal_seq)``, whose epoch snapshot
+keeps the shipped groups) and then logs each shipped
 delta into its *own* WAL — which assigns exactly the shipped sequence
 number.  Any divergence between shipped and locally-assigned sequence
 is a protocol violation and forces a full resync.
@@ -48,7 +53,7 @@ from typing import Any
 
 from ..core.errors import ServiceError
 from ..core.updates import profile_delta_from_dict
-from .config import DiversificationConfiguration
+from .app import decode_replication_snapshot
 
 logger = logging.getLogger("repro.service.replication")
 
@@ -60,9 +65,7 @@ class WalFollower:
 
     ``service`` is duck-typed (a :class:`~repro.service.app.
     PodiumService`); the follower only uses its public replication
-    surface: ``replace_configurations``, ``load_repository(...,
-    base_seq=)``, ``apply_profile_delta`` / ``apply_replicated_delta``
-    and ``store``.
+    surface: ``install_state`` and ``apply_profile_delta``.
     """
 
     def __init__(
@@ -145,7 +148,7 @@ class WalFollower:
     # -- replication --------------------------------------------------------
 
     def resync(self) -> None:
-        """Full state transfer: adopt the primary's profiles + configs.
+        """Full state transfer: install the primary's serving state.
 
         An empty primary (no profiles loaded yet) answers 400 on
         ``/admin/state``; the follower then simply starts streaming
@@ -160,20 +163,13 @@ class WalFollower:
                 raise
             doc = None  # primary holds no profiles yet
         if doc is not None:
-            from ..datasets.io import profiles_from_dict
-
-            configs = [
-                DiversificationConfiguration.from_dict(c)
-                for c in doc.get("configurations", [])
-            ]
-            base_seq = int(doc.get("wal_seq", 0))
-            self.service.replace_configurations(configs)
-            self.service.load_repository(
-                profiles_from_dict(doc["profiles"]), base_seq=base_seq
+            state, configs = decode_replication_snapshot(doc)
+            self.service.install_state(
+                state, configs, base_seq=state.wal_seq
             )
         with self._lock:
             if doc is not None:
-                self.applied_seq = int(doc.get("wal_seq", 0))
+                self.applied_seq = state.wal_seq
                 self.primary_seq = self.applied_seq
                 self.primary_epoch = int(doc.get("reset_epoch", 0))
             else:
@@ -235,21 +231,18 @@ class WalFollower:
             )
             self.resync()
             return False
-        delta = profile_delta_from_dict(payload.get("delta") or {})
-        if getattr(self.service, "store", None) is not None:
-            # Own durable store: log into the local WAL (which assigns
-            # the next contiguous sequence) and apply through the live
-            # incremental path — an acked replica survives its own crash.
-            response = self.service.apply_profile_delta(delta)
-            local_seq = int(response.get("wal_seq", -1))
-            if local_seq != seq:
-                raise ServiceError(
-                    f"replication sequence skew: primary shipped seq "
-                    f"{seq}, local WAL assigned {local_seq}"
-                )
-        else:
-            # Stateless standby: apply in memory only.
-            self.service.apply_replicated_delta(delta)
+        # With its own store the service logs the delta into the local
+        # WAL (which assigns the next contiguous sequence) before
+        # applying it, so an acked replica survives its own crash; a
+        # store-less standby applies it in memory only.
+        response = self.service.apply_profile_delta(
+            profile_delta_from_dict(payload.get("delta") or {})
+        )
+        if "wal_seq" in response and response["wal_seq"] != seq:
+            raise ServiceError(
+                f"replication sequence skew: primary shipped seq "
+                f"{seq}, local WAL assigned {response['wal_seq']}"
+            )
         with self._lock:
             self.applied_seq = seq
             self.applied_records += 1

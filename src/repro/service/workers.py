@@ -40,11 +40,17 @@ single-process serving: the client's 200 means the delta is fsynced.
 checks the shared ``(epoch, version)`` pair before answering a read.
 When behind, it asks the writer for the ring entries it missed and
 replays them through
-:meth:`~repro.service.app.PodiumService.apply_replicated_delta` — the
-same deterministic incremental machinery the writer used — so every
-process converges to byte-identical serving state.  Wholesale changes
-(``POST /profiles``) bump the **epoch** instead, forcing a full state
-transfer on next contact.
+:meth:`~repro.service.app.PodiumService.apply_profile_delta` — the same
+deterministic incremental machinery the writer used, minus the WAL
+append (a worker holds no store) — so every process converges to
+byte-identical serving state.  Wholesale changes (``POST /profiles``)
+bump the **epoch** instead, forcing a full state transfer on next
+contact.  A full transfer ships the writer's
+:meth:`~repro.service.app.PodiumService.replication_snapshot` — the
+repository plus every cached configuration's frozen groups — and the
+worker installs it through
+:meth:`~repro.service.app.PodiumService.install_state`, the path boot
+recovery takes, so it keeps the writer's bucket boundaries.
 
 Worker lifetime is tied to the parent three ways: SIGTERM on graceful
 shutdown, ``PR_SET_PDEATHSIG`` (Linux), and a lifeline pipe whose EOF —
@@ -75,7 +81,6 @@ from typing import Any, Callable
 from wsgiref.simple_server import WSGIServer
 
 from ..core.errors import PodiumError, ServiceError
-from ..datasets.io import profiles_from_dict
 from .app import (
     _JSON,
     _QuietHandler,
@@ -83,6 +88,7 @@ from .app import (
     PodiumService,
     _content_length,
     _dispatch,
+    decode_replication_snapshot,
     make_wsgi_app,
     parse_profile_delta,
 )
@@ -559,14 +565,8 @@ class WorkerRuntime:
             return True
 
     def _adopt_full(self, reply: dict[str, Any]) -> None:
-        configs = [
-            DiversificationConfiguration.from_dict(doc)
-            for doc in reply.get("configurations", ())
-        ]
-        self.service.replace_configurations(configs)
-        self.service.load_repository(
-            profiles_from_dict(reply.get("profiles") or {})
-        )
+        state, configs = decode_replication_snapshot(reply)
+        self.service.install_state(state, configs)
         self.epoch = int(reply["epoch"])
         self.version = int(reply["version"])
 
@@ -574,7 +574,7 @@ class WorkerRuntime:
         for entry in entries:
             kind = entry.get("kind")
             if kind == "delta":
-                self.service.apply_replicated_delta(
+                self.service.apply_profile_delta(
                     parse_profile_delta(entry.get("payload") or {})
                 )
             elif kind == "config":

@@ -19,6 +19,8 @@ from .snapshot import (
     SnapshotState,
     current_snapshot_path,
     load_snapshot,
+    snapshot_state_from_dict,
+    snapshot_state_to_dict,
     write_snapshot,
 )
 from .store import DurableRepositoryStore, inspect_data_dir
@@ -41,5 +43,7 @@ __all__ = [
     "inspect_data_dir",
     "load_snapshot",
     "scan_wal",
+    "snapshot_state_from_dict",
+    "snapshot_state_to_dict",
     "write_snapshot",
 ]

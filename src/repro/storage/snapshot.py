@@ -89,6 +89,46 @@ class SnapshotState:
     generation: int = 0
 
 
+def snapshot_state_to_dict(state: SnapshotState) -> dict[str, Any]:
+    """The JSON handoff form of a state (indexes and generation left out).
+
+    Uses the serializers the snapshot files do: the repository as a
+    ``podium-profiles-v1`` document and each artifact as its config dict
+    plus its frozen group set.  A receiver rebuilds indexes lazily, as
+    recovery does after a WAL replay.
+    """
+    return {
+        "profiles": profiles_to_dict(state.repository),
+        "artifacts": {
+            name: {
+                "config": artifact.config,
+                "groups": group_set_to_dict(artifact.groups),
+            }
+            for name, artifact in state.artifacts.items()
+        },
+        "wal_seq": state.wal_seq,
+    }
+
+
+def snapshot_state_from_dict(document: dict[str, Any]) -> SnapshotState:
+    """Rebuild a state serialized by :func:`snapshot_state_to_dict`.
+
+    A document without ``artifacts`` (an older sender) decodes to a
+    state with no frozen groups: the receiver regroups.
+    """
+    return SnapshotState(
+        repository=profiles_from_dict(document["profiles"]),
+        artifacts={
+            name: SnapshotArtifact(
+                config=dict(doc.get("config") or {}),
+                groups=group_set_from_dict(doc["groups"]),
+            )
+            for name, doc in (document.get("artifacts") or {}).items()
+        },
+        wal_seq=int(document.get("wal_seq", 0)),
+    )
+
+
 def snapshots_dir(data_dir: str | Path) -> Path:
     return Path(data_dir) / "snapshots"
 
@@ -286,8 +326,9 @@ def load_snapshot(
     every forked serving worker share one page-cache copy instead of
     private heap pages.  Snapshots written by this version store the
     arrays uncompressed exactly so this works; legacy
-    DEFLATE-compressed snapshots transparently fall back to eager
-    loads.
+    DEFLATE-compressed snapshots fall back to the eager
+    :func:`~repro.core.persistence.load_index_npz` with a
+    ``RuntimeWarning``.
     """
     path = Path(path)
     try:
@@ -341,7 +382,16 @@ def load_snapshot(
                 if mmap_indexes and index_npz_mappable(index_path):
                     index = open_index_npz(index_path)
                 else:
-                    index = load_index_npz(index_path, mmap=mmap_indexes)
+                    index = load_index_npz(index_path)
+                    if mmap_indexes:
+                        warnings.warn(
+                            f"snapshot index {index_path} has "
+                            f"DEFLATE-compressed members and cannot be "
+                            f"memory-mapped; loaded it eagerly.  The "
+                            f"next snapshot rewrites it uncompressed.",
+                            RuntimeWarning,
+                            stacklevel=2,
+                        )
             except DatasetError as exc:
                 raise StorageError(
                     f"snapshot {path} has a corrupt index for "

@@ -254,12 +254,14 @@ class DurableRepositoryStore:
         self,
         repository: UserRepository,
         base_seq: int | None = None,
+        artifacts: dict[str, SnapshotArtifact] | None = None,
     ) -> None:
         """Replace the repository wholesale (new epoch).
 
-        The previous history is discarded: artifacts are cleared (their
-        group sets describe the old population), a fresh snapshot makes
-        the new repository durable, and only then is the WAL truncated.
+        The previous history is discarded: artifacts are replaced by
+        ``artifacts`` (the group sets the caller will serve for the new
+        population; none by default), a fresh snapshot makes the new
+        state durable, and only then is the WAL truncated.
         Snapshot-before-truncate is the crash-safety point: the snapshot
         captures ``wal_seq == last_seq``, so every pre-reset WAL record
         is ``<= snapshot_seq`` and skipped on replay — a crash anywhere
@@ -271,7 +273,7 @@ class DurableRepositoryStore:
         """
         with self._lock:
             self.repository = repository
-            self.artifacts = {}
+            self.artifacts = dict(artifacts or {})
             self.generation += 1
             self.reset_epoch += 1
             if base_seq is not None:

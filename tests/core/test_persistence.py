@@ -19,8 +19,10 @@ from repro.core.persistence import (
     group_set_to_dict,
     instance_from_dict,
     instance_to_dict,
+    index_npz_mappable,
     load_index_npz,
     load_instance,
+    open_index_npz,
     save_index_npz,
     save_instance,
 )
@@ -240,7 +242,7 @@ class TestIndexNpzMmap:
         index = instance_index(table2_instance)
         path = tmp_path / "index.npz"
         save_index_npz(index, path, compressed=False)
-        restored = load_index_npz(path, mmap=True)
+        restored = open_index_npz(path)
         for name in MMAP_MEMBERS:
             array = getattr(restored, name)
             assert isinstance(array, np.memmap), name
@@ -250,7 +252,7 @@ class TestIndexNpzMmap:
         index = instance_index(table2_instance)
         path = tmp_path / "index.npz"
         save_index_npz(index, path, compressed=False)
-        restored = load_index_npz(path, mmap=True)
+        restored = open_index_npz(path)
         original = select_from_index(index, table2_instance.budget)
         replay = select_from_index(restored, table2_instance.budget)
         assert replay.selected == original.selected
@@ -262,8 +264,10 @@ class TestIndexNpzMmap:
         index = instance_index(table2_instance)
         path = tmp_path / "index.npz"
         save_index_npz(index, path, compressed=True)  # members deflated
-        with pytest.warns(RuntimeWarning, match=r"DEFLATE-compressed"):
-            restored = load_index_npz(path, mmap=True)
+        assert not index_npz_mappable(path)
+        with pytest.raises(DatasetError, match="compressed"):
+            open_index_npz(path)
+        restored = load_index_npz(path)  # the eager reader still loads it
         for name in MMAP_MEMBERS:
             array = getattr(restored, name)
             assert not isinstance(array, np.memmap), name
@@ -278,4 +282,4 @@ class TestIndexNpzMmap:
         arrays["cov"] = arrays["cov"] + 1  # corrupt without fixing the CRC
         np.savez(path, **arrays)
         with pytest.raises(DatasetError, match="checksum"):
-            load_index_npz(path, mmap=True)
+            open_index_npz(path)

@@ -14,7 +14,6 @@ from repro.core import (
 )
 from repro.core.groups import Group, GroupKey
 from repro.core.updates import (
-    IncrementalPodium,
     ProfileDelta,
     apply_delta_to_repository,
     reassign_groups,
@@ -170,138 +169,57 @@ class TestRebuildInstance:
         assert instance.wei[GroupKey("livesIn Tokyo", "true")] == 3
 
 
-class TestIncrementalPodium:
-    def test_update_then_select(self, table2_repo, table2_groups):
-        podium = IncrementalPodium(table2_repo, table2_groups, budget=2)
-        base = greedy_select(podium.repository, podium.instance)
-        assert set(base.selected) == {"Alice", "Eve"}
+class TestDeltaThenSelect:
+    """apply → reassign → rebuild, then select: the §9 update path."""
 
-        # A new super-user carrying many large groups displaces Eve.
-        gina = UserProfile(
-            "Gina",
-            {
-                "livesIn Paris": 1.0,
-                "avgRating Mexican": 0.8,
-                "visitFreq Mexican": 0.5,
-                "avgRating CheapEats": 0.5,
-                "visitFreq CheapEats": 0.25,
-                "ageGroup 50-64": 1.0,
-            },
+    GINA = UserProfile(
+        "Gina",
+        {
+            "livesIn Paris": 1.0,
+            "avgRating Mexican": 0.8,
+            "visitFreq Mexican": 0.5,
+            "avgRating CheapEats": 0.5,
+            "visitFreq CheapEats": 0.25,
+            "ageGroup 50-64": 1.0,
+        },
+    )
+
+    def _update(self, repo, groups, delta):
+        repo = apply_delta_to_repository(repo, delta)
+        groups = reassign_groups(groups, repo, delta)
+        return repo, rebuild_instance(groups, repo, budget=2)
+
+    def test_delta_then_select(self, table2_repo, table2_groups):
+        base = greedy_select(
+            table2_repo, rebuild_instance(table2_groups, table2_repo, 2)
         )
-        podium.update(ProfileDelta(upserts=(gina,)))
-        updated = greedy_select(podium.repository, podium.instance)
+        assert set(base.selected) == {"Alice", "Eve"}
+        # A new super-user carrying many large groups displaces Eve.
+        repo, instance = self._update(
+            table2_repo, table2_groups, ProfileDelta(upserts=(self.GINA,))
+        )
+        updated = greedy_select(repo, instance)
         assert "Gina" in updated.selected
-        assert len(podium.repository) == 6
+        assert len(repo) == 6
 
-    def test_update_then_matrix_selection_matches_eager(
+    def test_delta_then_matrix_selection_matches_eager(
         self, table2_repo, table2_groups
     ):
-        """The matrix backend after ``update`` must see the new instance,
+        """The matrix backend after an update must see the new instance,
         not a stale cached index warmed before the update."""
-        podium = IncrementalPodium(table2_repo, table2_groups, budget=2)
-        greedy_select(podium.repository, podium.instance, method="matrix")
-        gina = UserProfile(
-            "Gina",
-            {
-                "livesIn Paris": 1.0,
-                "avgRating Mexican": 0.8,
-                "visitFreq Mexican": 0.5,
-                "avgRating CheapEats": 0.5,
-                "visitFreq CheapEats": 0.25,
-                "ageGroup 50-64": 1.0,
-            },
+        greedy_select(
+            table2_repo,
+            rebuild_instance(table2_groups, table2_repo, 2),
+            method="matrix",
         )
-        podium.update(ProfileDelta(upserts=(gina,)))
-        eager = greedy_select(podium.repository, podium.instance, method="eager")
-        matrix = greedy_select(
-            podium.repository, podium.instance, method="matrix"
+        repo, instance = self._update(
+            table2_repo, table2_groups, ProfileDelta(upserts=(self.GINA,))
         )
+        eager = greedy_select(repo, instance, method="eager")
+        matrix = greedy_select(repo, instance, method="matrix")
         assert matrix.selected == eager.selected
         assert matrix.score == eager.score
         assert "Gina" in matrix.selected
-
-    def test_rebucket_refreshes_boundaries(self, table2_repo, table2_groups):
-        podium = IncrementalPodium(table2_repo, table2_groups, budget=2)
-        podium.rebucket(GroupingConfig(fixed_splits=(0.4, 0.65)))
-        assert len(podium.groups) == 16
-        result = greedy_select(podium.repository, podium.instance)
-        assert result.score == 17
-
-
-class TestRebucketPolicy:
-    """Deterministic rebucket trigger: touched-users fraction."""
-
-    def _podium(self, table2_repo, table2_groups, threshold=0.25):
-        return IncrementalPodium(
-            table2_repo,
-            table2_groups,
-            budget=2,
-            rebucket_threshold=threshold,
-            grouping=example_grouping_config(),
-        )
-
-    def _user(self, name):
-        return UserProfile(name, {"livesIn Paris": 1.0})
-
-    def test_threshold_crossing_triggers_rebucket(
-        self, table2_repo, table2_groups
-    ):
-        podium = self._podium(table2_repo, table2_groups)
-        # After the first upsert: 1 touched < 0.25 * 6 users = 1.5.
-        podium.update(ProfileDelta(upserts=(self._user("Gina"),)))
-        assert podium.rebucket_count == 0
-        assert podium.touched_since_rebucket == 1
-        # After the second: 2 touched >= 0.25 * 7 = 1.75 — trigger + reset.
-        podium.update(ProfileDelta(upserts=(self._user("Hank"),)))
-        assert podium.rebucket_count == 1
-        assert podium.touched_since_rebucket == 0
-
-    def test_triggered_rebucket_equals_full_grouping_run(
-        self, table2_repo, table2_groups
-    ):
-        podium = self._podium(table2_repo, table2_groups)
-        podium.update(ProfileDelta(upserts=(self._user("Gina"),)))
-        podium.update(ProfileDelta(upserts=(self._user("Hank"),)))
-        assert podium.rebucket_count == 1
-        rebuilt = build_simple_groups(
-            podium.repository, example_grouping_config()
-        )
-        assert {g.key for g in podium.groups} == {g.key for g in rebuilt}
-        for group in podium.groups:
-            assert rebuilt.group(group.key).members == group.members
-
-    def test_policy_is_replay_deterministic(
-        self, table2_repo, table2_groups
-    ):
-        """Same delta sequence → rebuilds at the same points."""
-        deltas = [
-            ProfileDelta(upserts=(self._user(f"u{i}"),)) for i in range(5)
-        ]
-
-        def run():
-            podium = self._podium(table2_repo, table2_groups)
-            counts = []
-            for delta in deltas:
-                podium.update(delta)
-                counts.append(podium.rebucket_count)
-            return counts
-
-        assert run() == run()
-
-    def test_disabled_by_default(self, table2_repo, table2_groups):
-        podium = IncrementalPodium(table2_repo, table2_groups, budget=2)
-        for i in range(10):
-            podium.update(ProfileDelta(upserts=(self._user(f"u{i}"),)))
-        assert podium.rebucket_count == 0
-
-    def test_invalid_threshold_rejected(self, table2_repo, table2_groups):
-        with pytest.raises(InvalidDeltaError, match="positive"):
-            IncrementalPodium(
-                table2_repo,
-                table2_groups,
-                budget=2,
-                rebucket_threshold=0.0,
-            )
 
 
 class TestIndexCacheInvalidation:

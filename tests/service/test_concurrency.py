@@ -144,6 +144,9 @@ class TestInvalidationThreaded:
     def test_ring_overflow_forces_full_resync(self):
         writer, shared, _, coordinator = make_writer(capacity=2)
         follower, runtime = make_follower(shared, coordinator)
+        for service in (writer, follower):  # groups frozen pre-delta
+            for name in service.configurations.names():
+                service.select(name, explain=False)
         for i in range(6):  # far beyond the 2-entry ring
             coordinator.handle_write("POST", "/profiles/delta", delta_body(i))
         reply = coordinator.handle_sync(runtime.epoch, runtime.version)
@@ -151,6 +154,11 @@ class TestInvalidationThreaded:
         runtime.ensure_fresh()
         assert len(follower.repository) == len(writer.repository)
         assert runtime.version == int(shared.version.value)
+        for name in writer.configurations.names():
+            for budget in (2, 4):
+                assert follower.select(
+                    name, budget=budget, explain=False
+                ) == writer.select(name, budget=budget, explain=False)
 
     def test_profiles_post_bumps_epoch_and_resyncs(self):
         writer, shared, _, coordinator = make_writer()

@@ -603,7 +603,9 @@ class TestDurableStore:
 
         reopened = DurableRepositoryStore(data_dir, fsync=False)
         restarted = boot(reopened)
-        assert restarted.restore_artifacts() == ["two"]
+        # load_repository grouped every registered configuration, so
+        # "default" carries frozen groups too.
+        assert restarted.restore_artifacts() == ["default", "two"]
         _, got = make_client(restarted)(
             "POST", "/select", {"configuration": "two"}
         )
@@ -641,7 +643,7 @@ class TestDurableStore:
             data_dir, fsync=False, mmap_indexes=mmap_indexes
         )
         restarted = boot(reopened)
-        assert restarted.restore_artifacts() == ["two"]
+        assert restarted.restore_artifacts() == ["default", "two"]
         status, body = make_client(restarted)("GET", "/metrics")
         assert status == 200
         expected_stage = (
