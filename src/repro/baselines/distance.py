@@ -13,23 +13,17 @@ As the paper observes (§8.4), this family explicitly avoids property
 overlap between the selected users — which is precisely why it under-
 covers complex (intersection) groups relative to Podium.
 
-Two implementations share the algorithm:
-
-* ``"vector"`` (default) routes the pairwise arithmetic through the
-  user × property incidence matrix of
-  :func:`~repro.core.index.property_incidence`: each greedy step updates
-  the whole distance vector with one matrix–vector product
-  (``incidence @ incidence[chosen]`` gives every ``|P_u ∩ P_chosen|`` at
-  once) instead of one Python set intersection per remaining user;
-* ``"legacy"`` is the original per-pair ``frozenset`` loop, kept as the
-  parity oracle.
-
-Both perform the identical IEEE-754 operations per candidate in the
-identical order (intersection and union counts are exact integers in
-float64), so selections — including seeded RNG tie-breaks — are
-byte-identical; ``tests/baselines/test_distance_parity.py`` sweeps the
-guarantee the way ``tests/core/test_backend_parity.py`` does for the
-greedy backends.
+The pairwise arithmetic runs through the user × property incidence
+matrix of :func:`~repro.core.index.property_incidence`: each greedy step
+updates the whole distance vector with one matrix–vector product
+(``incidence @ incidence[chosen]`` gives every ``|P_u ∩ P_chosen|`` at
+once) instead of one Python set intersection per remaining user.  The
+original per-pair ``frozenset`` loop is the parity oracle in
+``tests/oracles/baselines.py``: both perform the identical IEEE-754
+operations per candidate in the identical order (intersection and union
+counts are exact integers in float64), so selections — including seeded
+RNG tie-breaks — are byte-identical
+(``tests/baselines/test_distance_parity.py``).
 """
 
 from __future__ import annotations
@@ -71,40 +65,17 @@ def mean_pairwise_intersection(
     return float(gram[upper].sum() / (n * (n - 1) / 2))
 
 
-def _mean_pairwise_intersection_python(
-    repository: UserRepository, user_ids: list[str]
-) -> float:
-    """Pure-Python oracle for :func:`mean_pairwise_intersection`."""
-    props = [repository.profile(u).properties for u in user_ids]
-    if len(props) < 2:
-        return 0.0
-    total, pairs = 0, 0
-    for i in range(len(props)):
-        for j in range(i + 1, len(props)):
-            total += len(props[i] & props[j])
-            pairs += 1
-    return total / pairs
-
-
 class DistanceSelector(Selector):
     """Greedy pairwise-Jaccard dispersion over user property sets."""
 
     name = "Distance"
 
-    def __init__(
-        self, objective: str = "sum", implementation: str = "vector"
-    ) -> None:
+    def __init__(self, objective: str = "sum") -> None:
         if objective not in ("sum", "min"):
             raise PodiumError(
                 f"objective must be 'sum' or 'min', got {objective!r}"
             )
-        if implementation not in ("vector", "legacy"):
-            raise PodiumError(
-                f"implementation must be 'vector' or 'legacy', "
-                f"got {implementation!r}"
-            )
         self._objective = objective
-        self._implementation = implementation
 
     def select(
         self,
@@ -117,18 +88,6 @@ class DistanceSelector(Selector):
             raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
         if not repository.user_ids:
             return []
-        if self._implementation == "vector":
-            return self._select_vector(repository, budget, rng)
-        return self._select_legacy(repository, budget, rng)
-
-    # -- vectorized implementation ----------------------------------------
-
-    def _select_vector(
-        self,
-        repository: UserRepository,
-        budget: int,
-        rng: np.random.Generator | None,
-    ) -> list[str]:
         user_ids, incidence, sizes = property_incidence(repository)
         n = len(user_ids)
 
@@ -168,42 +127,3 @@ class DistanceSelector(Selector):
             else:
                 agg = np.minimum(agg, d)
         return [user_ids[i] for i in selected]
-
-    # -- legacy (pure-Python) implementation ------------------------------
-
-    def _select_legacy(
-        self,
-        repository: UserRepository,
-        budget: int,
-        rng: np.random.Generator | None,
-    ) -> list[str]:
-        user_ids = repository.user_ids
-        props = {u: repository.profile(u).properties for u in user_ids}
-
-        if rng is None:
-            seed = max(user_ids, key=lambda u: (len(props[u]), u))
-        else:
-            seed = user_ids[int(rng.integers(len(user_ids)))]
-        # ``remaining`` keeps repository order so tie lists are ordered
-        # identically to the vectorized dense ids (a plain set's iteration
-        # order would vary with the interpreter's hash seed, making seeded
-        # tie-breaks irreproducible across processes).
-        remaining = [u for u in user_ids if u != seed]
-        selected = [seed]
-
-        agg = {
-            u: jaccard_distance(props[u], props[seed]) for u in remaining
-        }
-        while remaining and len(selected) < budget:
-            best = max(agg[u] for u in remaining)
-            tied = [u for u in remaining if agg[u] == best]
-            chosen = min(tied) if rng is None else tied[int(rng.integers(len(tied)))]
-            selected.append(chosen)
-            remaining.remove(chosen)
-            for u in remaining:
-                d = jaccard_distance(props[u], props[chosen])
-                if self._objective == "sum":
-                    agg[u] += d
-                else:
-                    agg[u] = min(agg[u], d)
-        return selected

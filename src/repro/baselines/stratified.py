@@ -15,6 +15,11 @@ Included to make Table 1's comparison executable: stratified sampling is
 coverage-based, intrinsic and explainable, but cannot exploit more than a
 handful of dimensions — which is exactly where Podium's relaxed coverage
 objective takes over.
+
+Users are assigned to strata with one ``searchsorted``; the per-user
+``Bucket.contains`` loop it replaced is the parity oracle in
+``tests/oracles/baselines.py`` (identical strata, hence identical seeded
+draws).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.buckets import assign_bucket_indices, split_scores
-from ..core.errors import InvalidBudgetError, PodiumError
+from ..core.errors import InvalidBudgetError
 from ..core.instance import DiversificationInstance
 from ..core.profiles import UserRepository
 from .base import Selector
@@ -62,26 +67,19 @@ class StratifiedSelector(Selector):
 
     name = "Stratified"
 
-    def __init__(
-        self, strata_buckets: int = 3, method: str = "vector"
-    ) -> None:
-        if method not in ("vector", "python"):
-            raise PodiumError(
-                f"method must be 'vector' or 'python', got {method!r}"
-            )
+    def __init__(self, strata_buckets: int = 3) -> None:
         self._strata_buckets = strata_buckets
-        self._method = method
 
     def _stratify(
         self, repository: UserRepository
     ) -> list[list[str]]:
-        """Partition users into strata (identical lists on both methods).
+        """Partition users into strata.
 
-        ``"vector"`` assigns every carrier to its bucket with one
-        ``searchsorted`` (first-containing-bucket fallback when the
-        partition does not tile ``[0, 1]``); ``"python"`` is the original
-        per-user loop.  Both walk ``scores_for`` order, so the strata —
-        and therefore the rng draws in :meth:`select` — are identical.
+        Every carrier is assigned to its bucket with one ``searchsorted``
+        (first-containing-bucket fallback when the partition does not
+        tile ``[0, 1]``), walking ``scores_for`` order — the strata, and
+        therefore the rng draws in :meth:`select`, equal the per-user
+        loop of ``tests/oracles/baselines.py``.
         """
         if not repository.property_labels:
             return [repository.user_ids]
@@ -91,31 +89,21 @@ class StratifiedSelector(Selector):
         buckets = split_scores(
             scores, k=self._strata_buckets, strategy="quantile"
         )
-        if self._method == "vector":
-            assignment = assign_bucket_indices(buckets, scores)
-            if assignment is None:
-                assignment = np.full(len(scores), -1, dtype=np.int64)
-                for position, bucket in enumerate(buckets):
-                    if bucket.closed_hi:
-                        mask = (scores >= bucket.lo) & (scores <= bucket.hi)
-                    else:
-                        mask = (scores >= bucket.lo) & (scores < bucket.hi)
-                    assignment[mask & (assignment < 0)] = position
-            ids = np.asarray(user_ids, dtype=object)
-            strata = [
-                list(ids[assignment == position])
-                for position in range(len(buckets))
-            ]
-            carriers = set(user_ids)
-        else:
-            strata = [[] for _ in buckets]
-            carriers = set()
-            for user_id, score in zip(user_ids, scores):
-                carriers.add(user_id)
-                for index, bucket in enumerate(buckets):
-                    if bucket.contains(float(score)):
-                        strata[index].append(user_id)
-                        break
+        assignment = assign_bucket_indices(buckets, scores)
+        if assignment is None:
+            assignment = np.full(len(scores), -1, dtype=np.int64)
+            for position, bucket in enumerate(buckets):
+                if bucket.closed_hi:
+                    mask = (scores >= bucket.lo) & (scores <= bucket.hi)
+                else:
+                    mask = (scores >= bucket.lo) & (scores < bucket.hi)
+                assignment[mask & (assignment < 0)] = position
+        ids = np.asarray(user_ids, dtype=object)
+        strata = [
+            list(ids[assignment == position])
+            for position in range(len(buckets))
+        ]
+        carriers = set(user_ids)
         unknown = [u for u in repository.user_ids if u not in carriers]
         if unknown:
             strata.append(unknown)

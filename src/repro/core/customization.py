@@ -500,41 +500,25 @@ def feedback_group_coverage(
     instance: DiversificationInstance,
     feedback: CustomizationFeedback,
     selected: Iterable[str],
-    method: str = "index",
 ) -> float:
     """Fraction of priority groups covered by ``selected`` (Fig. 4 metric).
 
-    ``method="index"`` (default) gathers hit counts at the priority
-    groups' dense ids off the cached CSR index — one segment sum, no
-    membership-set intersection; ``method="python"`` is the dict oracle.
-    Both return the identical float (covered counts are exact integers).
+    Hit counts are gathered at the priority groups' dense ids off the
+    cached CSR index — one segment sum, no membership-set intersection.
     """
     if not feedback.priority:
         return 1.0
-    if method == "index":
-        index = instance_index(instance)
-        hits = index.selection_hits(selected)
-        ids = np.fromiter(
-            (index.group_pos[k] for k in feedback.priority),
-            dtype=np.int64,
-            count=len(feedback.priority),
-        )
-        required = np.fromiter(
-            (int(instance.cov[k]) for k in feedback.priority),
-            dtype=np.int64,
-            count=len(feedback.priority),
-        )
-        covered = int(np.count_nonzero(hits[ids] >= required))
-        return covered / len(feedback.priority)
-    if method != "python":
-        raise InvalidFeedbackError(
-            f"unknown coverage method {method!r}; use 'index' or 'python'"
-        )
-    selected_set = set(selected)
-    covered = sum(
-        1
-        for key in feedback.priority
-        if len(instance.groups.group(key).members & selected_set)
-        >= instance.cov[key]
+    index = instance_index(instance)
+    hits = index.selection_hits(selected)
+    ids = np.fromiter(
+        (index.group_pos[k] for k in feedback.priority),
+        dtype=np.int64,
+        count=len(feedback.priority),
     )
+    required = np.fromiter(
+        (int(instance.cov[k]) for k in feedback.priority),
+        dtype=np.int64,
+        count=len(feedback.priority),
+    )
+    covered = int(np.count_nonzero(hits[ids] >= required))
     return covered / len(feedback.priority)

@@ -13,21 +13,13 @@ Three complementary explanation types are produced:
 prototype's explanation page (Fig. 2): per-user top-weight groups, the
 fraction of top-weight groups covered, the full weighted group list with
 covered flags, and per-property score distributions of population versus
-subset.
-
-Two implementations produce byte-identical payloads:
-
-* ``method="index"`` (the default, :func:`explain_selection_index`)
-  answers every membership question off the CSR
-  :class:`~repro.core.index.InstanceIndex`: one ``group_hits`` segment
-  sum yields all subset-group actuals and distribution subset counts,
-  and user explanations are per-row CSR slices.  Only group *metadata*
-  (labels, weights, coverage) is read from the dict-based instance —
-  O(|G|) scalar lookups, never O(Σ_G |G|) member walks — so the path
-  runs unchanged on a memory-mapped checkpoint index without
-  materializing its lazy id sequence.
-* ``method="python"`` is the dict-walking original, kept verbatim as
-  the parity oracle (`tests/core/test_explanations.py`).
+subset.  It answers every membership question off the CSR
+:class:`~repro.core.index.InstanceIndex` and reads only group *metadata*
+(labels, weights, coverage) from the dict-based instance — O(|G|)
+scalar lookups, never O(Σ_G |G|) member walks — so it runs unchanged on
+a memory-mapped checkpoint index without materializing its lazy id
+sequence.  The dict-walking original, built from the Def. 5.1 helpers
+below, is the parity oracle in ``tests/oracles/explanations.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ import numpy as np
 from .errors import PodiumError
 from .greedy import SelectionResult
 from .groups import GroupKey
-from .index import InstanceIndex, instance_index
+from .index import instance_index
 from .instance import DiversificationInstance
 from .weights import Weight
 
@@ -207,67 +199,11 @@ def explain_selection(
     result: SelectionResult,
     top_k: int = 200,
     distribution_properties: Iterable[str] = (),
-    method: str = "index",
 ) -> SelectionExplanation:
     """Assemble the full explanation payload for ``result``.
 
     ``top_k`` bounds the "top-weight relevant groups" the coverage
     percentage is computed over, mirroring the middle pane of Fig. 2.
-    ``method="index"`` (default) answers membership questions off the
-    cached CSR index; ``method="python"`` walks the dict structures —
-    both produce byte-identical payloads.
-    """
-    if method == "index":
-        return explain_selection_index(
-            result, top_k=top_k,
-            distribution_properties=distribution_properties,
-        )
-    if method != "python":
-        raise PodiumError(
-            f"unknown explanation method {method!r}; use 'index' or 'python'"
-        )
-    instance = result.instance
-    selected = list(result.selected)
-
-    by_weight = sorted(
-        instance.groups.keys,
-        key=lambda k: (-instance.wei[k], str(k)),
-    )
-    top_keys = by_weight[:top_k]
-
-    subset_groups = tuple(
-        explain_subset_group(instance, selected, key) for key in by_weight
-    )
-    covered_top = sum(
-        1
-        for key in top_keys
-        if explain_subset_group(instance, selected, key).covered
-    )
-    top_fraction = covered_top / len(top_keys) if top_keys else 1.0
-
-    return SelectionExplanation(
-        group_explanations=tuple(
-            explain_group(instance, key) for key in by_weight
-        ),
-        user_explanations=tuple(
-            explain_user(instance, user_id) for user_id in selected
-        ),
-        subset_group_explanations=subset_groups,
-        top_coverage_fraction=top_fraction,
-        distributions=tuple(
-            compare_distributions(instance, selected, p)
-            for p in distribution_properties
-        ),
-    )
-
-
-def explain_selection_index(
-    result: SelectionResult,
-    top_k: int = 200,
-    distribution_properties: Iterable[str] = (),
-    index: InstanceIndex | None = None,
-) -> SelectionExplanation:
-    """Index-native :func:`explain_selection` (byte-identical payload).
 
     One ``group_hits`` segment sum over the CSR incidence yields every
     subset-group actual, the top-coverage fraction *and* the subset side
@@ -278,16 +214,13 @@ def explain_selection_index(
     metadata per group — so no membership set is ever intersected in
     Python.  Weights are taken from ``instance.wei`` directly, keeping
     the path exact for EBS big-ints the int64 index refuses to encode.
-
-    ``index`` overrides the instance's cached index — the serving path
-    passes the checkpoint-mapped index here.
     """
     instance = result.instance
     if instance is None:
         raise PodiumError(
             "explain_selection requires a result carrying its instance"
         )
-    idx = instance_index(instance) if index is None else index
+    idx = instance_index(instance)
     selected = list(result.selected)
     groups = instance.groups
     wei, cov = instance.wei, instance.cov

@@ -22,7 +22,13 @@ Two interchangeable implementations are provided:
 
 All three achieve the (1 − 1/e) approximation of Prop. 4.4 because the
 score function is monotone submodular for every weight/coverage choice,
-and all three select *identical sequences* when ``rng`` is None.
+and all three select *identical sequences* when ``rng`` is None.  Under
+one seeded generator they still agree pick for pick on a pool of
+distinct candidates: each breaks a tie with one ``rng.integers(k)``
+draw over the ``k`` tied ids in ascending order, and a lone leader
+draws nothing (``integers(1)`` consumes no state).  The property holds
+whenever matrix runs its own kernel or falls back to lazy, i.e. for
+every weight scheme (``tests/core/test_kernel_differential.py``).
 
 Two additional backends trade a little quality guarantee for scale:
 
@@ -122,8 +128,12 @@ def _resolve_candidates(
 def _pick_tie(
     tied: list[str], rng: np.random.Generator | None
 ) -> str:
+    """Minimal id, or a uniform ``rng`` draw over the ids in ascending
+    order — the order the array backends hold their candidates in, and
+    one that does not vary with the interpreter's hash seed."""
     if rng is None or len(tied) == 1:
         return min(tied)
+    tied.sort()
     return tied[int(rng.integers(len(tied)))]
 
 

@@ -29,7 +29,10 @@ The figure modules (:mod:`~repro.experiments.fig3`,
 :mod:`~repro.experiments.fig4`, :mod:`~repro.experiments.scalability`,
 :mod:`~repro.experiments.optimal_ratio`) all route through
 :func:`run_cells`; ``repro report --jobs N`` and ``repro bench --suite
-experiments`` expose the knob on the command line.
+experiments`` expose the knob on the command line.  The bench
+(:func:`benchmark_experiment_engine`) times the engine against a serial
+baseline that runs Podium on the paper's eager Algorithm 1, and
+records whether every mode reproduced its selections and table.
 """
 
 from __future__ import annotations
@@ -201,10 +204,6 @@ _SELECTOR_FACTORIES: dict[str, Callable[[], Selector]] = {
     "clustering": ClusteringSelector,
     "distance": DistanceSelector,
     "distance-min": lambda: DistanceSelector("min"),
-    "distance-legacy": lambda: DistanceSelector(implementation="legacy"),
-    "distance-min-legacy": lambda: DistanceSelector(
-        "min", implementation="legacy"
-    ),
 }
 
 #: Row names used when assembling tables from selector keys.
@@ -216,9 +215,7 @@ SELECTOR_DISPLAY = {
     "random": "Random",
     "clustering": "Clustering",
     "distance": "Distance",
-    "distance-legacy": "Distance",
     "distance-min": "Distance-min",
-    "distance-min-legacy": "Distance-min",
 }
 
 
@@ -342,15 +339,13 @@ def _intrinsic_cell(
     spec: InstanceSpec, params: tuple, rng: np.random.Generator | None
 ) -> dict:
     """One selector run + its intrinsic metric evaluations."""
-    selector_key, top_k, metrics_method = params
+    selector_key, top_k = params
     built = materialize_cached(spec)
     selector = make_selector(selector_key)
     selected = selector.select(
         built.repository, built.instance, spec.budget, rng=rng
     )
-    report = evaluate_intrinsic(
-        built.instance, selected, k=top_k, method=metrics_method
-    )
+    report = evaluate_intrinsic(built.instance, selected, k=top_k)
     return {"selected": list(selected), "metrics": report.as_dict()}
 
 
@@ -473,7 +468,6 @@ def intrinsic_cells(
     selectors: Sequence[tuple[str, int]],
     top_k: int,
     seed: int,
-    metrics_method: str = "vector",
     unseeded: tuple[str, ...] = (),
     seed_mode: str = "spawn",
 ) -> list[ExperimentCell]:
@@ -481,7 +475,7 @@ def intrinsic_cells(
 
     In ``"spawn"`` mode the spawn index advances for every cell (including
     unseeded ones), so two cell lists with the same shape draw the same
-    streams per position — what the benchmark's legacy/vectorized parity
+    streams per position — what the benchmark's eager/matrix parity
     rides on.  In ``"raw"`` mode cell ``(selector_index, rep)`` seeds
     ``default_rng((seed, selector_index, rep))``, replaying the
     pre-engine serial loop of ``run_intrinsic_comparison`` exactly.
@@ -500,7 +494,7 @@ def intrinsic_cells(
                 ExperimentCell(
                     runner="intrinsic",
                     spec=spec,
-                    params=(key, top_k, metrics_method),
+                    params=(key, top_k),
                     seed=cell_seed,
                     seed_mode=seed_mode,
                 )
@@ -518,7 +512,6 @@ def run_intrinsic_experiment(
     seed: int = 0,
     jobs: int | None = 1,
     stochastic: tuple[str, ...] = ("random", "clustering"),
-    metrics_method: str = "vector",
     unseeded: tuple[str, ...] = (),
     seed_mode: str = "spawn",
 ) -> IntrinsicEngineResult:
@@ -533,9 +526,7 @@ def run_intrinsic_experiment(
         for key in selector_keys
     ]
     cells = intrinsic_cells(
-        spec, selectors, top_k, seed,
-        metrics_method=metrics_method, unseeded=unseeded,
-        seed_mode=seed_mode,
+        spec, selectors, top_k, seed, unseeded=unseeded, seed_mode=seed_mode,
     )
     results = run_cells(cells, jobs=jobs)
 
@@ -604,15 +595,16 @@ def run_procurement_experiment(
 # End-to-end engine benchmark (BENCH_experiments.json).
 # ---------------------------------------------------------------------------
 
-#: Vectorized selector keys of the fig3-style bench and their pure-Python
-#: twins.  Clustering is excluded: its k-means is numpy in both paths and
-#: an order of magnitude slower than every other selector (§8.5), so it
-#: would only mask the layers this benchmark measures.
+#: Selector keys of the fig3-style bench, and its serial baseline: the
+#: same selectors with Podium on the paper's eager Algorithm 1.
+#: Clustering is excluded: its k-means is an order of magnitude slower
+#: than every other selector (§8.5), so it would only mask the layers
+#: this benchmark measures.
 BENCH_SELECTORS: tuple[str, ...] = (
     "podium", "random", "distance", "distance-min",
 )
-BENCH_LEGACY_SELECTORS: tuple[str, ...] = (
-    "podium-eager", "random", "distance-legacy", "distance-min-legacy",
+BENCH_BASELINE_SELECTORS: tuple[str, ...] = (
+    "podium-eager", "random", "distance", "distance-min",
 )
 
 
@@ -626,9 +618,9 @@ def benchmark_experiment_engine(
 ) -> dict:
     """Time a fig3-style intrinsic experiment end-to-end, three ways.
 
-    Modes: the serial pure-Python baseline (eager Podium, legacy set-loop
-    Distance, set-loop coverage metrics), then the engine with vectorized
-    paths at ``jobs`` ∈ {1, ``jobs``, all cores}.  The instance build
+    Modes: the serial baseline (``serial-eager``: Podium on eager
+    Algorithm 1, every cell in the parent), then the engine with matrix
+    Podium at ``jobs`` ∈ {1, ``jobs``, all cores}.  The instance build
     (the offline grouping module of Fig. 1) is identical in every mode
     and reported once as ``build_seconds``, mirroring the
     ``index_build_seconds`` convention of ``BENCH_selection.json``; the
@@ -643,18 +635,16 @@ def benchmark_experiment_engine(
         budget=budget,
         min_support=2,
     )
-    # Podium is deterministic here (rng=None): its eager/matrix backends
-    # guarantee identical selections only without randomized tie-breaks.
-    stochastic = ("random", "distance", "distance-min",
-                  "distance-legacy", "distance-min-legacy")
-    unseeded_vec = ("podium",)
-    unseeded_leg = ("podium-eager",)
+    # Podium is deterministic here (rng=None), the domain where its
+    # eager and matrix backends select identical sequences.
+    stochastic = ("random", "distance", "distance-min")
+    unseeded = ("podium", "podium-eager")
 
     start = time.perf_counter()
     materialize_cached(spec)
     build_seconds = time.perf_counter() - start
 
-    def run(keys, metrics_method, run_jobs):
+    def run(keys, run_jobs):
         start = time.perf_counter()
         result = run_intrinsic_experiment(
             "fig3-style engine bench",
@@ -665,24 +655,23 @@ def benchmark_experiment_engine(
             seed=seed,
             jobs=run_jobs,
             stochastic=stochastic,
-            metrics_method=metrics_method,
-            unseeded=unseeded_vec + unseeded_leg,
+            unseeded=unseeded,
         )
         return time.perf_counter() - start, result
 
-    legacy_seconds, legacy = run(BENCH_LEGACY_SELECTORS, "python", 1)
+    baseline_seconds, baseline = run(BENCH_BASELINE_SELECTORS, 1)
     reference = [
         selection
-        for key in BENCH_LEGACY_SELECTORS
-        for selection in legacy.selections[key]
+        for key in BENCH_BASELINE_SELECTORS
+        for selection in baseline.selections[key]
     ]
 
     all_jobs = os.cpu_count() or 1
     rows = [
-        {"mode": "serial-legacy", "jobs": 1, "seconds": legacy_seconds},
+        {"mode": "serial-eager", "jobs": 1, "seconds": baseline_seconds},
     ]
     for run_jobs in dict.fromkeys((1, jobs, all_jobs)):
-        seconds, result = run(BENCH_SELECTORS, "vector", run_jobs)
+        seconds, result = run(BENCH_SELECTORS, run_jobs)
         flat = [
             selection
             for key in BENCH_SELECTORS
@@ -693,13 +682,9 @@ def benchmark_experiment_engine(
                 "mode": "engine-vectorized",
                 "jobs": run_jobs,
                 "seconds": seconds,
-                "speedup_vs_legacy": legacy_seconds / seconds,
+                "speedup_vs_serial_eager": baseline_seconds / seconds,
                 "selections_match": flat == reference,
-                "table_matches": result.table.rows
-                == {
-                    name: legacy.table.rows[name]
-                    for name in result.table.rows
-                },
+                "table_matches": result.table.rows == baseline.table.rows,
             }
         )
     return {
@@ -710,7 +695,7 @@ def benchmark_experiment_engine(
         "top_k": top_k,
         "seed": seed,
         "selectors": list(BENCH_SELECTORS),
-        "legacy_selectors": list(BENCH_LEGACY_SELECTORS),
+        "baseline_selectors": list(BENCH_BASELINE_SELECTORS),
         "cpu_count": all_jobs,
         "build_seconds": build_seconds,
         "rows": rows,

@@ -11,6 +11,13 @@ Optimal baseline explodes exponentially and is reported separately
 
 Timings cover the *selection* step only, matching the paper: bucketing
 and weight computation happen in the offline grouping module (Fig. 1).
+
+``repro bench`` (``BENCH_selection.json``) adds two reports:
+:func:`benchmark_selection_backends` times eager/lazy/matrix greedy with
+a cross-backend selection check, and
+:func:`benchmark_index_native_stages` times the request-time stages —
+the one explanation path, and customization eager vs matrix with an
+exact-parity flag.
 """
 
 from __future__ import annotations
@@ -225,25 +232,25 @@ def benchmark_selection_backends(
 def benchmark_index_native_stages(
     setup: ScalabilitySetup | None = None,
 ) -> dict:
-    """Time the index-native post-selection stages against the dict loops.
+    """Time the post-selection stages every ``POST /select`` pays.
 
     For each population size one instance is built (budget
-    ``setup.stage_budget``), a panel is selected once, and then the two
-    request-time stages every ``POST /select`` pays are timed in both
-    implementations:
+    ``setup.stage_budget``), a panel is selected once, and then two
+    request-time stages are timed:
 
     * **explanation** — :func:`repro.core.explanations.explain_selection`
-      with three distribution properties, ``method="python"`` (dict
-      oracle) versus ``method="index"`` (CSR hits + memoized payload);
+      with three distribution properties (CSR hits + memoized payload);
     * **customization** — :func:`repro.core.customization.custom_select`
       with a representative feedback (one must-not group, two priority
-      groups), ``method="eager"`` versus ``method="matrix"``.
+      groups), ``method="eager"`` (the paper's Algorithm 1 on the
+      rescaled dict instance) versus ``method="matrix"``.
 
     Each stage runs once untimed (warming the cached index, reverse
     links and explanation sort orders — the steady state a serving
     process sits in) and then ``repetitions`` timed runs; the median is
-    reported.  Every row also records exact-parity flags: the payloads
-    and selections must be equal, not just close.
+    reported.  Every row records an exact customization-parity flag:
+    the eager and matrix selections and scores must be equal, not just
+    close.
     """
     setup = setup or ScalabilitySetup()
     rows: list[dict] = []
@@ -275,14 +282,9 @@ def benchmark_index_native_stages(
                 samples.append(time.perf_counter() - start)
             return value, float(np.median(samples))
 
-        explain_python, explain_python_s = timed(
+        _, explain_s = timed(
             lambda: explain_selection(
-                result, distribution_properties=properties, method="python"
-            )
-        )
-        explain_index, explain_index_s = timed(
-            lambda: explain_selection(
-                result, distribution_properties=properties, method="index"
+                result, distribution_properties=properties
             )
         )
         custom_eager, custom_eager_s = timed(
@@ -299,21 +301,14 @@ def benchmark_index_native_stages(
             {
                 "users": n_users,
                 "groups": len(instance.groups),
-                "explanation_seconds": {
-                    "python": explain_python_s,
-                    "index": explain_index_s,
-                },
+                "explanation_seconds": explain_s,
                 "customization_seconds": {
                     "eager": custom_eager_s,
                     "matrix": custom_matrix_s,
                 },
-                "speedup_explanation": explain_python_s / explain_index_s
-                if explain_index_s
-                else float("inf"),
                 "speedup_customization": custom_eager_s / custom_matrix_s
                 if custom_matrix_s
                 else float("inf"),
-                "explanation_parity": explain_python == explain_index,
                 "customization_parity": (
                     custom_eager.selected == custom_matrix.selected
                     and custom_eager.result.score == custom_matrix.result.score

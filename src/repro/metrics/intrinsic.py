@@ -12,6 +12,12 @@ Four complementary metrics, mirroring the bars of Fig. 3a/3c:
   covers complex groups.
 * **Distribution similarity** — mean CD-sim between population and subset
   bucket distributions, over the properties of the top-20 largest groups.
+
+Every coverage count comes off the instance's CSR index (segment sums
+and Gram products over membership masks).  The per-group set-loop
+originals are the parity oracles in ``tests/oracles/metrics.py``; both
+return identical floats, because the array arithmetic performs the
+same exact integer counts.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.errors import PodiumError
 from ..core.groups import Group
 from ..core.index import instance_index
 from ..core.instance import DiversificationInstance
@@ -29,34 +34,19 @@ from ..core.scoring import subset_score
 from .cdsim import cd_sim_from_counts
 
 
-def _check_method(method: str) -> None:
-    if method not in ("vector", "python"):
-        raise PodiumError(
-            f"method must be 'vector' or 'python', got {method!r}"
-        )
-
-
 def top_k_coverage(
     instance: DiversificationInstance,
     selected: Iterable[str],
     k: int = 200,
-    method: str = "vector",
 ) -> float:
     """Fraction of the ``k`` largest groups with a selected representative.
 
-    ``method="vector"`` answers every membership test from the instance's
-    CSR index (one segment-sum over the selection mask); ``"python"`` is
-    the original per-group set-intersection loop, kept as the parity
-    oracle.
+    Every membership test is answered from the instance's CSR index (one
+    segment-sum over the selection mask).
     """
-    _check_method(method)
     top = instance.groups.top_k(k)
     if not top:
         return 1.0
-    if method == "python":
-        selected_set = set(selected)
-        covered = sum(1 for g in top if g.members & selected_set)
-        return covered / len(top)
     index = instance_index(instance)
     hits = index.selection_hits(selected)
     covered = int(
@@ -82,7 +72,6 @@ def intersected_property_coverage(
     selected: Iterable[str],
     k: int = 200,
     max_intersections: int = 20000,
-    method: str = "vector",
 ) -> float:
     """Coverage of large pairwise intersections of simple groups.
 
@@ -93,62 +82,16 @@ def intersected_property_coverage(
     of the largest groups first — exactly the region where qualifying
     intersections live.
 
-    ``method="vector"`` densifies the candidate groups into membership
-    masks once and answers every pair's intersection size — and whether a
-    selected user sits in it — with two Gram products, walking the same
-    row-major pair order (and examination cap) as the ``"python"`` oracle
-    so both return identical values.
+    The candidate groups are densified into membership masks once:
+    ``masks @ masks.T`` gives ``|G_a ∩ G_b|`` for every candidate pair
+    and ``(masks · sel) @ masks.T`` the number of *selected* members of
+    each pairwise intersection.  The row-major upper triangle is the
+    examination order, so the pair cap cuts at the same pair a nested
+    loop over the candidates would.
     """
-    _check_method(method)
     candidates, threshold = _large_simple_groups(instance, k)
     if not candidates or threshold == 0:
         return 1.0
-    if method == "vector":
-        return _intersected_coverage_vector(
-            instance, selected, candidates, threshold, max_intersections
-        )
-    selected_set = set(selected)
-
-    covered = 0
-    total = 0
-    examined = 0
-    for i in range(len(candidates)):
-        if examined >= max_intersections:
-            break
-        a = candidates[i]
-        for j in range(i + 1, len(candidates)):
-            if examined >= max_intersections:
-                break
-            b = candidates[j]
-            if a.key.property_label == b.key.property_label:
-                continue
-            examined += 1
-            common = a.members & b.members
-            if len(common) < threshold:
-                continue
-            total += 1
-            if common & selected_set:
-                covered += 1
-    if total == 0:
-        return 1.0
-    return covered / total
-
-
-def _intersected_coverage_vector(
-    instance: DiversificationInstance,
-    selected: Iterable[str],
-    candidates: list[Group],
-    threshold: int,
-    max_intersections: int,
-) -> float:
-    """Membership-mask evaluation of the intersected-coverage metric.
-
-    ``masks @ masks.T`` gives ``|G_a ∩ G_b|`` for every candidate pair at
-    once and ``(masks · sel) @ masks.T`` the number of *selected* members
-    of each pairwise intersection; the row-major upper triangle replays
-    the oracle's examination order, so applying the pair cap to it keeps
-    the examined set identical.
-    """
     index = instance_index(instance)
     masks = index.membership_matrix(
         index.group_pos[g.key] for g in candidates
@@ -174,21 +117,15 @@ def distribution_similarity(
     instance: DiversificationInstance,
     selected: Iterable[str],
     top_groups: int = 20,
-    method: str = "vector",
 ) -> float:
     """Mean bucket-distribution CD-sim over the top groups' properties.
 
     For each property behind one of the ``top_groups`` largest groups,
     compare the population weight share per bucket with the subset's
     member share per bucket (paper §8.2's group-bucket construction).
-
-    ``method="vector"`` reads every subset bucket count from one
-    ``group_hits`` segment sum over the instance's CSR index;
-    ``"python"`` intersects membership sets per bucket (parity oracle).
-    Both produce identical floats: a group's hit count equals the size
-    of its member ∩ selection intersection exactly.
+    Every subset bucket count comes from one ``group_hits`` segment sum
+    over the instance's CSR index.
     """
-    _check_method(method)
     selected = list(selected)
     properties: list[str] = []
     for group in instance.groups.top_k(top_groups):
@@ -196,19 +133,8 @@ def distribution_similarity(
         if label not in properties:
             properties.append(label)
 
-    if method == "vector":
-        index = instance_index(instance)
-        hits = index.selection_hits(selected)
-
-        def subset_count(group: Group) -> float:
-            return float(int(hits[index.group_pos[group.key]]))
-
-    else:
-        selected_set = set(selected)
-
-        def subset_count(group: Group) -> float:
-            return float(len(group.members & selected_set))
-
+    index = instance_index(instance)
+    hits = index.selection_hits(selected)
     similarities: list[float] = []
     for label in properties:
         buckets = instance.groups.buckets_of_property(label)
@@ -216,7 +142,9 @@ def distribution_similarity(
             continue
         buckets.sort(key=lambda g: (g.bucket.lo if g.bucket else 0.0, g.label))
         all_counts = [float(instance.wei[g.key]) for g in buckets]
-        sub_counts = [subset_count(g) for g in buckets]
+        sub_counts = [
+            float(int(hits[index.group_pos[g.key]])) for g in buckets
+        ]
         similarities.append(cd_sim_from_counts(sub_counts, all_counts))
     if not similarities:
         return 1.0
@@ -246,22 +174,16 @@ def evaluate_intrinsic(
     selected: Iterable[str],
     k: int = 200,
     top_groups: int = 20,
-    method: str = "vector",
 ) -> IntrinsicReport:
-    """Compute the full intrinsic report of Fig. 3a/3c for one subset.
-
-    ``method`` selects the coverage-metric implementation (``"vector"``
-    mask arithmetic or the ``"python"`` set-loop oracle); both yield
-    identical reports.
-    """
+    """Compute the full intrinsic report of Fig. 3a/3c for one subset."""
     selected = list(selected)
     return IntrinsicReport(
         total_score=float(subset_score(instance, selected)),
-        top_k_coverage=top_k_coverage(instance, selected, k, method=method),
+        top_k_coverage=top_k_coverage(instance, selected, k),
         intersected_coverage=intersected_property_coverage(
-            instance, selected, k, method=method
+            instance, selected, k
         ),
         distribution_similarity=distribution_similarity(
-            instance, selected, top_groups, method=method
+            instance, selected, top_groups
         ),
     )

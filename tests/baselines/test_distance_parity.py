@@ -1,11 +1,12 @@
-"""Distance-baseline parity sweep: vector == legacy, both objectives.
+"""Distance-baseline parity sweep: selector == set-loop oracle, both
+objectives.
 
-The vectorized :class:`~repro.baselines.distance.DistanceSelector`
-promises byte-identical selections to the pure-Python legacy loop — the
-incidence-matrix arithmetic performs the same IEEE-754 operations in the
-same per-candidate order, so even seeded RNG tie-breaks resolve
-identically (mirroring ``tests/core/test_backend_parity.py`` for the
-greedy backends).
+:class:`~repro.baselines.distance.DistanceSelector` promises
+byte-identical selections to the pure-Python per-pair loop of
+``tests/oracles/baselines.py`` — the incidence-matrix arithmetic
+performs the same IEEE-754 operations in the same per-candidate order,
+so even seeded RNG tie-breaks resolve identically (mirroring
+``tests/core/test_backend_parity.py`` for the greedy backends).
 """
 
 import numpy as np
@@ -13,13 +14,17 @@ import pytest
 
 from repro.baselines.distance import (
     DistanceSelector,
-    _mean_pairwise_intersection_python,
     mean_pairwise_intersection,
 )
 from repro.core import GroupingConfig, build_instance, build_simple_groups
 from repro.core.errors import PodiumError
 from repro.core.profiles import UserProfile, UserRepository
 from repro.datasets.synth import generate_profile_repository
+
+from ..oracles.baselines import (
+    distance_select_oracle,
+    mean_pairwise_intersection_oracle,
+)
 
 OBJECTIVES = ("sum", "min")
 
@@ -39,10 +44,8 @@ class TestDistanceParity:
     def test_deterministic_selections_identical(self, objective, seed):
         repo, instance = _sweep_repo(seed)
         vector = DistanceSelector(objective).select(repo, instance, 6)
-        legacy = DistanceSelector(objective, implementation="legacy").select(
-            repo, instance, 6
-        )
-        assert vector == legacy
+        oracle = distance_select_oracle(repo, 6, objective=objective)
+        assert vector == oracle
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     @pytest.mark.parametrize("rng_seed", (0, 7, 42))
@@ -51,10 +54,10 @@ class TestDistanceParity:
         vector = DistanceSelector(objective).select(
             repo, instance, 6, rng=np.random.default_rng(rng_seed)
         )
-        legacy = DistanceSelector(objective, implementation="legacy").select(
-            repo, instance, 6, rng=np.random.default_rng(rng_seed)
+        oracle = distance_select_oracle(
+            repo, 6, rng=np.random.default_rng(rng_seed), objective=objective
         )
-        assert vector == legacy
+        assert vector == oracle
 
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_duplicate_profiles_force_ties(self, objective):
@@ -70,16 +73,15 @@ class TestDistanceParity:
             vector = DistanceSelector(objective).select(
                 repo, instance, 5, rng=np.random.default_rng(rng_seed)
             )
-            legacy = DistanceSelector(
-                objective, implementation="legacy"
-            ).select(repo, instance, 5, rng=np.random.default_rng(rng_seed))
-            assert vector == legacy
+            oracle = distance_select_oracle(
+                repo, 5, rng=np.random.default_rng(rng_seed),
+                objective=objective,
+            )
+            assert vector == oracle
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(PodiumError):
             DistanceSelector("max")
-        with pytest.raises(PodiumError):
-            DistanceSelector(implementation="numba")
 
 
 class TestMeanPairwiseIntersectionParity:
@@ -89,7 +91,7 @@ class TestMeanPairwiseIntersectionParity:
         users = repo.user_ids[:15]
         assert mean_pairwise_intersection(
             repo, users
-        ) == _mean_pairwise_intersection_python(repo, users)
+        ) == mean_pairwise_intersection_oracle(repo, users)
 
     def test_fewer_than_two_users(self):
         repo, _ = _sweep_repo(0, n_users=10)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from repro.baselines import StratifiedSelector, proportional_apportionment
+from repro.baselines import stratified
 from repro.core import (
     InvalidBudgetError,
     UserProfile,
     UserRepository,
     build_instance,
 )
+from repro.core.buckets import Bucket
+
+from ..oracles import baselines as oracle
 
 
 class TestApportionment:
@@ -98,3 +102,72 @@ class TestStratifiedSelector:
         instance = build_instance(skewed_repo, 2)
         with pytest.raises(InvalidBudgetError):
             StratifiedSelector().select(skewed_repo, instance, 0)
+
+
+def _partial_repo(seed):
+    """90 users with uniform scores on up to four properties; every
+    fourth user has none, so the "unknown" stratum is populated."""
+    rng = np.random.default_rng(seed)
+    labels = ("a", "b", "c", "d")
+    return UserRepository(
+        UserProfile(
+            f"u{i:03d}",
+            {}
+            if i % 4 == 0
+            else {
+                label: float(rng.random())
+                for label in labels
+                if rng.random() < 0.7
+            },
+        )
+        for i in range(90)
+    )
+
+
+class TestStratifiedOracleParity:
+    """``searchsorted`` strata == the per-user ``Bucket.contains`` loop."""
+
+    @pytest.mark.parametrize("strata_buckets", (1, 2, 3, 5))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_selections_identical(self, strata_buckets, seed):
+        repo = _partial_repo(seed)
+        instance = build_instance(repo, 9)
+        selector = StratifiedSelector(strata_buckets=strata_buckets)
+        assert selector._stratify(repo) == oracle.stratify_oracle(
+            repo, strata_buckets
+        )
+        for budget in (1, 9, 40):
+            assert selector.select(
+                repo, instance, budget, np.random.default_rng(seed)
+            ) == oracle.stratified_select_oracle(
+                repo, budget, np.random.default_rng(seed), strata_buckets
+            )
+
+    @pytest.mark.parametrize(
+        "partition",
+        (
+            # Overlapping buckets: a score in both goes to the first.
+            (Bucket(0.0, 0.6, "low"), Bucket(0.4, 1.0, "high", True)),
+            # A gap: carriers scoring inside it join no stratum.
+            (Bucket(0.0, 0.3, "low"), Bucket(0.5, 1.0, "high", True)),
+        ),
+    )
+    def test_non_tiling_partition_uses_first_containing_bucket(
+        self, partition, monkeypatch
+    ):
+        def split(scores, k, strategy):
+            return partition
+
+        monkeypatch.setattr(stratified, "split_scores", split)
+        monkeypatch.setattr(oracle, "split_scores", split)
+        repo = _partial_repo(3)
+        instance = build_instance(repo, 9)
+        assert StratifiedSelector()._stratify(repo) == oracle.stratify_oracle(
+            repo
+        )
+        for rng_seed in (0, 7):
+            assert StratifiedSelector().select(
+                repo, instance, 12, np.random.default_rng(rng_seed)
+            ) == oracle.stratified_select_oracle(
+                repo, 12, np.random.default_rng(rng_seed)
+            )

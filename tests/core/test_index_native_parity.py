@@ -1,9 +1,10 @@
 """Index-native stage parity: explanations/customization vs dict oracles.
 
 The columnar-source-of-truth promise: every index-native stage — matrix
-selection, ``explain_selection(method="index")``, matrix
-``custom_select`` and index ``feedback_group_coverage`` — produces
-payloads equal (``==``) to its dict-walking oracle, across Iden/LBS ×
+selection, ``explain_selection``, matrix ``custom_select`` and
+``feedback_group_coverage`` — produces payloads equal (``==``) to its
+dict-walking oracle (eager selection and customization, and the
+``tests/oracles`` explanation and coverage twins), across Iden/LBS ×
 Single/Prop, both on in-RAM indexes and on ``open_index_npz``-mapped
 checkpoints.  On the mapped checkpoint a counting ``LazyUserIds``
 wrapper additionally proves the user-id array is never materialized:
@@ -41,6 +42,10 @@ from repro.core.weights import (
     SingleCoverage,
 )
 from repro.datasets.synth import generate_profile_repository
+from repro.experiments.scalability import ScalabilitySetup
+
+from ..oracles.explanations import explain_selection_oracle
+from ..oracles.metrics import feedback_group_coverage_oracle
 
 WEIGHTS = (IdenWeights, LBSWeights)
 COVERAGES = (SingleCoverage, PropCoverage)
@@ -112,8 +117,8 @@ class TestInRamParity:
         props = tuple(sorted(repo.property_labels)[:2])
         assert explain_selection(
             result, top_k=25, distribution_properties=props
-        ) == explain_selection(
-            result, top_k=25, distribution_properties=props, method="python"
+        ) == explain_selection_oracle(
+            result, top_k=25, distribution_properties=props
         )
 
     def test_customization_identical(self, weight_cls, coverage_cls):
@@ -130,10 +135,32 @@ class TestInRamParity:
         feedback = _feedback(groups)
         selected = greedy_select(repo, instance, method="matrix").selected
         assert feedback_group_coverage(
-            instance, feedback, selected, method="index"
-        ) == feedback_group_coverage(
-            instance, feedback, selected, method="python"
-        )
+            instance, feedback, selected
+        ) == feedback_group_coverage_oracle(instance, feedback, selected)
+
+
+@pytest.mark.parametrize("budget", (8, ScalabilitySetup().stage_budget))
+def test_explanation_parity_at_stage_bench_shape(budget):
+    """The explanation stage of ``repro bench`` at its smallest size.
+
+    A generated 500-user repository with the stage bench's profile
+    shape, a matrix panel and three distribution properties at the
+    default ``top_k``.
+    """
+    setup = ScalabilitySetup()
+    repo = generate_profile_repository(
+        n_users=500,
+        n_properties=setup.n_properties,
+        mean_profile_size=setup.mean_profile_size,
+        seed=setup.seed,
+    )
+    groups = build_simple_groups(repo, GroupingConfig(min_support=2))
+    instance = build_instance(repo, budget, groups=groups)
+    result = greedy_select(repo, instance, method="matrix")
+    props = tuple(sorted(repo.property_labels)[:3])
+    assert explain_selection(
+        result, distribution_properties=props
+    ) == explain_selection_oracle(result, distribution_properties=props)
 
 
 @pytest.mark.parametrize("weight_cls", WEIGHTS)
@@ -166,9 +193,9 @@ class TestMappedCheckpointParity:
         assert result.selected == oracle.selected
         assert result.score == oracle.score
 
-        assert explain_selection(result, top_k=25) == explain_selection(
-            oracle, top_k=25, method="python"
-        )
+        assert explain_selection(
+            result, top_k=25
+        ) == explain_selection_oracle(oracle, top_k=25)
 
         feedback = _feedback(groups)
         fast = custom_select(
@@ -180,9 +207,9 @@ class TestMappedCheckpointParity:
         _assert_custom_parity(fast, slow)
 
         assert feedback_group_coverage(
-            mapped_instance, feedback, result.selected, method="index"
-        ) == feedback_group_coverage(
-            oracle_instance, feedback, result.selected, method="python"
+            mapped_instance, feedback, result.selected
+        ) == feedback_group_coverage_oracle(
+            oracle_instance, feedback, result.selected
         )
 
         # The whole pipeline decoded only the selected winners — never

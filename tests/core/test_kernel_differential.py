@@ -17,10 +17,22 @@ each entry point reproduces the paper's eager Algorithm 1 exactly
 * ``constrained_select`` with one k-means cluster, and with floors and
   ceilings set to the plain selection's own group counts (tight but
   never binding), vs the plain matrix selection.
+
+With a seeded ``rng`` the identity narrows to ``greedy_select``'s eager,
+lazy and matrix backends over a pool of distinct candidates (the
+domain ``core/greedy.py`` documents): each breaks a tie with one draw
+over the tied ids in ascending order.  That covers EBS weights past
+int64 too, where matrix runs the lazy fallback.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -45,6 +57,7 @@ from repro.core.weights import (
     PropCoverage,
     SingleCoverage,
 )
+from repro.datasets.synth import generate_profile_repository
 
 #: Few distinct scores, so buckets, gains and hence picks tie often.
 TIED_SCORES = (0.0, 0.25, 0.5, 1.0)
@@ -108,6 +121,86 @@ def test_greedy_select_backends_match_eager(case):
                 **options,
             )
             assert _triple(result) == reference, method
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases(), seed=st.integers(0, 2**16))
+def test_seeded_backends_match_eager(case, seed):
+    repo, instance, _index, pool = case
+    _assert_seeded_backends_match(repo, instance, (None, pool), seed)
+
+
+def _assert_seeded_backends_match(repo, instance, pools, seed):
+    for candidates in pools:
+        reference = _triple(
+            greedy_select(
+                repo, instance, method="eager", candidates=candidates,
+                rng=np.random.default_rng(seed),
+            )
+        )
+        for method in ("lazy", "matrix"):
+            result = greedy_select(
+                repo, instance, method=method, candidates=candidates,
+                rng=np.random.default_rng(seed),
+            )
+            assert _triple(result) == reference, method
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_seeded_backends_match_eager_past_int64(seed):
+    """EBS weights past int64: matrix runs the exact lazy fallback.
+
+    A budget past the groups' reach ends in a long zero-gain tail, where
+    every remaining candidate ties.
+    """
+    repo = generate_profile_repository(
+        n_users=40, n_properties=12, mean_profile_size=4.0, seed=seed
+    )
+    instance = build_instance(
+        repo,
+        budget=30,
+        groups=build_simple_groups(repo, GroupingConfig()),
+        weight_scheme=EBSWeights(),
+    )
+    assert not instance_index(instance).vectorizable
+    _assert_seeded_backends_match(
+        repo, instance, (None, repo.user_ids[::2]), seed
+    )
+
+
+_HASH_SEED_PROBE = """
+import numpy as np
+from repro.core import (
+    GroupingConfig, build_instance, build_simple_groups, greedy_select,
+)
+from repro.datasets.synth import generate_profile_repository
+
+repo = generate_profile_repository(
+    n_users=300, n_properties=40, mean_profile_size=12.0, seed=0
+)
+instance = build_instance(
+    repo, budget=12, groups=build_simple_groups(repo, GroupingConfig())
+)
+result = greedy_select(
+    repo, instance, method="eager", rng=np.random.default_rng(7)
+)
+print(",".join(result.selected))
+"""
+
+
+def test_seeded_eager_independent_of_hash_seed():
+    """A seeded eager panel is the same in every interpreter process."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    panels = set()
+    for hash_seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        panels.add(
+            subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+        )
+    assert len(panels) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from repro.core.errors import PodiumError
 from repro.experiments.engine import (
     ExperimentCell,
     InstanceSpec,
+    benchmark_experiment_engine,
     cell_rng,
     make_selector,
     materialize_cached,
@@ -136,3 +137,18 @@ class TestDeterminismAcrossJobs:
             for i in range(4)
         ]
         assert len(run_cells(cells, jobs=2)) == 4
+
+
+class TestEngineBench:
+    def test_engine_reproduces_serial_eager_baseline(self):
+        report = benchmark_experiment_engine(
+            users=150, repetitions=2, jobs=2
+        )
+        baseline, *engine = report["rows"]
+        assert baseline["mode"] == "serial-eager"
+        assert report["baseline_selectors"][0] == "podium-eager"
+        assert engine
+        for row in engine:
+            assert row["mode"] == "engine-vectorized"
+            assert row["selections_match"] is True
+            assert row["table_matches"] is True

@@ -1,21 +1,26 @@
-"""Vector/python parity for the CSR-backed intrinsic coverage metrics.
+"""Parity of the CSR-backed intrinsic coverage metrics with set loops.
 
 ``top_k_coverage`` and ``intersected_property_coverage`` run as
-membership-mask arithmetic by default; the original set-loop
-implementations are kept as ``method="python"`` oracles and both must
-return *identical* floats — the mask arithmetic performs the same exact
+membership-mask arithmetic; the original set-loop implementations are
+the oracles in ``tests/oracles/metrics.py`` and both must return
+*identical* floats — the mask arithmetic performs the same exact
 integer counts, so no tolerance is needed.
 """
 
 import pytest
 
 from repro.core import GroupingConfig, build_instance, build_simple_groups
-from repro.core.errors import PodiumError
 from repro.datasets.synth import generate_profile_repository
 from repro.metrics import (
     evaluate_intrinsic,
     intersected_property_coverage,
     top_k_coverage,
+)
+
+from ..oracles.metrics import (
+    evaluate_intrinsic_oracle,
+    intersected_property_coverage_oracle,
+    top_k_coverage_oracle,
 )
 
 
@@ -36,17 +41,15 @@ class TestCoverageParity:
         repo, instance = _instance(seed)
         selected = repo.user_ids[::7]
         assert top_k_coverage(
-            instance, selected, k=k, method="vector"
-        ) == top_k_coverage(instance, selected, k=k, method="python")
+            instance, selected, k=k
+        ) == top_k_coverage_oracle(instance, selected, k=k)
 
     def test_intersected_property_coverage(self, seed, k):
         repo, instance = _instance(seed)
         selected = repo.user_ids[::7]
         assert intersected_property_coverage(
-            instance, selected, k=k, method="vector"
-        ) == intersected_property_coverage(
-            instance, selected, k=k, method="python"
-        )
+            instance, selected, k=k
+        ) == intersected_property_coverage_oracle(instance, selected, k=k)
 
 
 class TestParityEdges:
@@ -57,28 +60,19 @@ class TestParityEdges:
         selected = repo.user_ids[:10]
         for cap in (1, 5, 17):
             assert intersected_property_coverage(
-                instance, selected, k=50,
-                max_intersections=cap, method="vector",
-            ) == intersected_property_coverage(
-                instance, selected, k=50,
-                max_intersections=cap, method="python",
+                instance, selected, k=50, max_intersections=cap,
+            ) == intersected_property_coverage_oracle(
+                instance, selected, k=50, max_intersections=cap,
             )
 
     def test_empty_selection(self):
         _, instance = _instance(0)
-        for method in ("vector", "python"):
-            assert top_k_coverage(instance, [], k=10, method=method) == 0.0
+        assert top_k_coverage(instance, [], k=10) == 0.0
+        assert top_k_coverage_oracle(instance, [], k=10) == 0.0
 
     def test_full_report_parity(self):
         repo, instance = _instance(1)
         selected = repo.user_ids[:8]
         assert evaluate_intrinsic(
-            instance, selected, method="vector"
-        ) == evaluate_intrinsic(instance, selected, method="python")
-
-    def test_unknown_method_rejected(self):
-        _, instance = _instance(0)
-        with pytest.raises(PodiumError):
-            top_k_coverage(instance, [], method="fast")
-        with pytest.raises(PodiumError):
-            intersected_property_coverage(instance, [], method="fast")
+            instance, selected
+        ) == evaluate_intrinsic_oracle(instance, selected)
