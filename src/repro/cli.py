@@ -163,11 +163,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.data_dir:
         from .storage import DurableRepositoryStore
 
-        store = DurableRepositoryStore(
-            args.data_dir,
-            fsync=args.fsync,
-            mmap_indexes=not args.eager_artifacts,
-        )
+        store = DurableRepositoryStore(args.data_dir, fsync=args.fsync)
     follower = None
     if args.follow:
         if args.workers >= 2:
@@ -334,17 +330,14 @@ def _bench_serve(args: argparse.Namespace) -> int:
         )
     rss = report.get("worker_rss")
     if rss:
-        for row in rss["rows"]:
-            mean = row["mean_worker_rss_kb"]
-            mean_note = (
-                f"{mean / 1024.0:.1f} MiB/worker" if mean else "RSS n/a"
-            )
-            print(
-                f"serve boot {row['mode']} (workers={rss['workers']}, "
-                f"|U|={rss['users']}): {row['boot_seconds']:.2f}s, "
-                f"{mean_note}, "
-                f"{row['mapped_artifact_indexes']} mapped index(es)"
-            )
+        mean = rss["mean_worker_rss_kb"]
+        mean_note = f"{mean / 1024.0:.1f} MiB/worker" if mean else "RSS n/a"
+        print(
+            f"serve boot mapped (workers={rss['workers']}, "
+            f"|U|={rss['users']}): {rss['boot_seconds']:.2f}s, "
+            f"{mean_note}, "
+            f"{rss['mapped_artifact_indexes']} mapped index(es)"
+        )
     for gate in report["gates"]:
         print(f"gate: {gate['name']}: {gate['status']} ({gate['detail']})")
     failures = serve_report_failures(report)
@@ -494,6 +487,7 @@ def _bench_experiments(args: argparse.Namespace) -> int:
     Path(out).write_text(json.dumps(report, indent=1) + "\n")
     print(
         f"build (shared, untimed): {report['build_seconds']:.2f}s; "
+        f"warm-up (untimed): {report['warmup_seconds']:.2f}s; "
         f"cpu_count={report['cpu_count']}"
     )
     matches = True
@@ -683,17 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         "server; >= 2 pre-forks that many worker processes sharing the "
         "warmed artifacts copy-on-write, with writes routed to a single "
         "writer (env REPRO_SERVE_WORKERS overrides the default)",
-    )
-    server.add_argument(
-        "--eager-artifacts",
-        action="store_true",
-        default=bool(os.environ.get("REPRO_EAGER_ARTIFACTS")),
-        help="load recovered snapshot indexes into private heap memory "
-        "instead of memory-mapping the checkpoint (the default maps, so "
-        "pre-forked workers share one page-cache copy of the CSR "
-        "payload; this flag exists for the serve benchmark's "
-        "mmap-vs-eager RSS comparison, env REPRO_EAGER_ARTIFACTS "
-        "also enables it)",
     )
     server.set_defaults(handler=_cmd_serve)
 

@@ -625,8 +625,12 @@ def benchmark_experiment_engine(
     and reported once as ``build_seconds``, mirroring the
     ``index_build_seconds`` convention of ``BENCH_selection.json``; the
     timed section is the experiment proper — every selector run and
-    metric evaluation.  ``selections_match`` records that each mode
-    reproduced the baseline's selections cell for cell.
+    metric evaluation.  One untimed warm-up run (the engine at jobs 1,
+    reported as ``warmup_seconds``) precedes every timed mode: the first
+    run of the metrics in a process is slower than any later one, so
+    without it the first mode timed would pay for all of them.
+    ``selections_match`` records that each mode reproduced the
+    baseline's selections cell for cell.
     """
     spec = InstanceSpec(
         kind="profiles",
@@ -659,6 +663,7 @@ def benchmark_experiment_engine(
         )
         return time.perf_counter() - start, result
 
+    warmup_seconds, _ = run(BENCH_SELECTORS, 1)
     baseline_seconds, baseline = run(BENCH_BASELINE_SELECTORS, 1)
     reference = [
         selection
@@ -698,5 +703,6 @@ def benchmark_experiment_engine(
         "baseline_selectors": list(BENCH_BASELINE_SELECTORS),
         "cpu_count": all_jobs,
         "build_seconds": build_seconds,
+        "warmup_seconds": warmup_seconds,
         "rows": rows,
     }

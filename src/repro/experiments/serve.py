@@ -9,7 +9,7 @@ requests, req/s, select latency p50/p99, acked deltas and the
 per-worker share of selects (from the pool's shared counters), so the
 kernel's ``SO_REUSEPORT`` balancing is visible, not assumed.
 
-Two gate families turn the numbers into exit codes
+Three gate families turn the numbers into exit codes
 (:func:`serve_report_failures`):
 
 * **Throughput floor** — every worker count must sustain at least
@@ -20,12 +20,11 @@ Two gate families turn the numbers into exit codes
   ``workers=2`` by ``scale_2x_floor``).  On hosts without the cores to
   show the effect the gates are recorded as ``skipped (cpu-limited)``
   rather than silently passed — the numbers are still in the report.
-* **Worker boot RSS** — the pool is booted twice from one snapshot
-  (:func:`measure_worker_boot_rss`): default memory-mapped artifact
-  recovery versus ``--eager-artifacts``.  The mapped boot must adopt at
-  least one mmap-backed index and undercut the eager boot's mean
-  per-worker ``VmRSS``.  Self-skips on single-core hosts and on hosts
-  without ``/proc`` — recorded as skipped, never silently passed.
+* **Mapped worker boot** — the pool is booted from a snapshot
+  (:func:`measure_worker_boot_rss`) and must adopt at least one
+  mmap-backed checkpoint index; its boot time and per-worker ``VmRSS``
+  are recorded, not judged.  Self-skips on single-core hosts —
+  recorded as skipped, never silently passed.
 
 ``repro bench --suite serve`` writes the report to ``BENCH_serve.json``.
 """
@@ -81,11 +80,10 @@ class ServeBenchSetup:
     #: Read-scaling floors vs the workers=1 baseline (cpu-gated).
     scale_2x_floor: float = 1.3
     scale_4x_floor: float = 2.5
-    #: Population of the worker boot-RSS comparison.  Larger than the
-    #: load-test population so the checkpoint index is big enough for
-    #: the mapped-versus-heap difference to clear RSS noise.
+    #: Population of the mapped worker boot.  Larger than the load-test
+    #: population so the checkpoint index is a realistic mapping.
     rss_users: int = 4000
-    #: Worker count booted (twice) for the RSS comparison.
+    #: Worker count of the mapped worker boot.
     rss_workers: int = 2
 
 
@@ -106,7 +104,6 @@ def _boot_server(
     data_dir: str,
     budget: int,
     workers: int,
-    extra_args: tuple[str, ...] = (),
 ) -> tuple[subprocess.Popen, int]:
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     env["PYTHONPATH"] = _SRC_ROOT + (
@@ -130,7 +127,6 @@ def _boot_server(
     ]
     if profiles is not None:
         command[4:4] = ["--profiles", profiles]
-    command.extend(extra_args)
     server = subprocess.Popen(
         command,
         env=env,
@@ -319,17 +315,13 @@ def _worker_pids(port: int, expected: int, timeout: float = 15.0) -> list[int]:
 
 
 def measure_worker_boot_rss(setup: ServeBenchSetup) -> dict[str, Any]:
-    """Boot the worker pool twice off one snapshot: mapped vs eager.
+    """Boot the worker pool off a snapshot with a mappable index.
 
     A seed boot builds the ``cli`` artifact and writes a snapshot whose
     index members are stored uncompressed (mappable).  The pool is then
-    booted twice against that data directory — once with the default
-    memory-mapped recovery (``open_index_npz``) and once with
-    ``--eager-artifacts`` (private heap copies) — and each boot records
-    time-to-healthy plus every worker's post-boot ``VmRSS``.  No load is
-    driven: the comparison isolates what a freshly forked worker is
-    *resident* before serving, which is exactly the pages eager loading
-    touches and mapping defers.
+    booted against that data directory, and the boot records
+    time-to-healthy, every worker's post-boot ``VmRSS`` and how many
+    checkpoint indexes it adopted as memory maps.
     """
     repository = generate_profile_repository(
         n_users=setup.rss_users,
@@ -338,7 +330,6 @@ def measure_worker_boot_rss(setup: ServeBenchSetup) -> dict[str, Any]:
         seed=setup.seed,
     )
     workdir = tempfile.mkdtemp(prefix="repro-serve-rss-")
-    rows: list[dict[str, Any]] = []
     try:
         profiles = os.path.join(workdir, "profiles.json")
         save_profiles(repository, profiles)
@@ -346,7 +337,7 @@ def measure_worker_boot_rss(setup: ServeBenchSetup) -> dict[str, Any]:
         seed_server, port = _boot_server(profiles, data_dir, setup.budget, 1)
         try:
             # Build the serving artifact, then persist it (with its CSR
-            # index) so both recovery boots adopt instead of rebuilding.
+            # index) so the recovery boot adopts instead of rebuilding.
             _http(
                 port,
                 "/select",
@@ -358,43 +349,30 @@ def measure_worker_boot_rss(setup: ServeBenchSetup) -> dict[str, Any]:
             _http(port, "/admin/snapshot", b"{}")
         finally:
             _stop_server(seed_server)
-        for mode, extra in (("mmap", ()), ("eager", ("--eager-artifacts",))):
-            started = time.monotonic()
-            server, port = _boot_server(
-                None,
-                data_dir,
-                setup.budget,
-                setup.rss_workers,
-                extra_args=extra,
-            )
-            try:
-                boot_seconds = time.monotonic() - started
-                pids = _worker_pids(port, setup.rss_workers)
-                samples = [_proc_rss_kb(pid) for pid in pids]
-                rss_kb = [kb for kb in samples if kb is not None]
-                storage = _http(port, "/metrics").get("storage") or {}
-            finally:
-                _stop_server(server)
-            rows.append(
-                {
-                    "mode": mode,
-                    "boot_seconds": boot_seconds,
-                    "worker_pids": pids,
-                    "worker_rss_kb": rss_kb,
-                    "mean_worker_rss_kb": (
-                        sum(rss_kb) / len(rss_kb) if rss_kb else None
-                    ),
-                    "mapped_artifact_indexes": int(
-                        storage.get("mapped_artifact_indexes") or 0
-                    ),
-                }
-            )
+        started = time.monotonic()
+        server, port = _boot_server(
+            None, data_dir, setup.budget, setup.rss_workers
+        )
+        try:
+            boot_seconds = time.monotonic() - started
+            pids = _worker_pids(port, setup.rss_workers)
+            samples = [_proc_rss_kb(pid) for pid in pids]
+            rss_kb = [kb for kb in samples if kb is not None]
+            storage = _http(port, "/metrics").get("storage") or {}
+        finally:
+            _stop_server(server)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return {
         "users": setup.rss_users,
         "workers": setup.rss_workers,
-        "rows": rows,
+        "boot_seconds": boot_seconds,
+        "worker_pids": pids,
+        "worker_rss_kb": rss_kb,
+        "mean_worker_rss_kb": sum(rss_kb) / len(rss_kb) if rss_kb else None,
+        "mapped_artifact_indexes": int(
+            storage.get("mapped_artifact_indexes") or 0
+        ),
     }
 
 
@@ -534,51 +512,31 @@ def _evaluate_gates(
 
 
 def _rss_gate(worker_rss: dict[str, Any] | None) -> dict[str, Any]:
-    """Judge the mapped-vs-eager worker boot comparison.
+    """Judge the mapped worker boot: at least one mapped index adopted.
 
-    Passes only when the mapped boot actually adopted mmap-backed
-    indexes *and* its mean per-worker RSS undercuts the eager boot.
-    Self-skips (never silently passes) on hosts that cannot show the
-    effect: single-core machines never run the comparison, and hosts
-    without ``/proc/<pid>/status`` yield no RSS samples.
+    Self-skips (never silently passes) on single-core hosts, which never
+    run the boot.
     """
-    name = "worker boot RSS (mmap vs eager)"
+    name = "worker boot adopts mapped indexes"
     if worker_rss is None:
         cpus = os.cpu_count() or 1
         return {
             "name": name,
             "status": f"skipped (cpu-limited: {cpus} < 2 cores)",
-            "detail": "worker-pool RSS comparison not run",
+            "detail": "worker-pool boot not run",
         }
-    by_mode = {row["mode"]: row for row in worker_rss["rows"]}
-    mmap_row = by_mode.get("mmap")
-    eager_row = by_mode.get("eager")
-    if (
-        mmap_row is None
-        or eager_row is None
-        or mmap_row["mean_worker_rss_kb"] is None
-        or eager_row["mean_worker_rss_kb"] is None
-    ):
-        return {
-            "name": name,
-            "status": "skipped (no /proc RSS samples on this host)",
-            "detail": "boot timings recorded, RSS not judged",
-        }
-    mmap_kb = mmap_row["mean_worker_rss_kb"]
-    eager_kb = eager_row["mean_worker_rss_kb"]
-    mapped = mmap_row["mapped_artifact_indexes"]
-    ok = mapped >= 1 and mmap_kb < eager_kb
-    detail = (
-        f"mean worker RSS {mmap_kb / 1024.0:.1f} MiB mapped vs "
-        f"{eager_kb / 1024.0:.1f} MiB eager "
-        f"({mapped} mapped artifact index(es)); boot "
-        f"{mmap_row['boot_seconds']:.2f}s vs "
-        f"{eager_row['boot_seconds']:.2f}s"
+    mapped = worker_rss["mapped_artifact_indexes"]
+    mean_kb = worker_rss["mean_worker_rss_kb"]
+    rss_note = (
+        f"mean worker RSS {mean_kb / 1024.0:.1f} MiB"
+        if mean_kb is not None
+        else "no /proc RSS samples"
     )
     return {
         "name": name,
-        "status": "passed" if ok else "failed",
-        "detail": detail,
+        "status": "passed" if mapped >= 1 else "failed",
+        "detail": f"{mapped} mapped artifact index(es); {rss_note}; "
+        f"boot {worker_rss['boot_seconds']:.2f}s",
     }
 
 

@@ -9,19 +9,21 @@ adapter exposing it over HTTP.
 
 Unlike the prototype, the serving path is built for sustained traffic:
 
-* **Artifact cache** — every configuration's ``(GroupSet,
-  DiversificationInstance, InstanceIndex)`` triple is built once and
-  reused across requests, keyed on the repository generation, the
-  configuration object and ``GroupSet.version``; repeated ``/select``
-  calls against an unchanged repository perform zero instance rebuilds.
+* **Artifact cache** — one ``_ConfigArtifacts`` entry per configuration
+  holds its frozen ``GroupSet`` and everything derived from it
+  (instances with their ``InstanceIndex``, cluster partitions, streaming
+  maintainers).  One memoized builder makes each artifact on first use;
+  replacing the entry drops all of them.  Repeated ``/select`` calls
+  against an unchanged repository perform zero instance rebuilds.
 * **Vectorized selection** — plain selections run
   :func:`~repro.core.greedy.select_from_index` over the cached sparse
   index, and customized selections use the matrix customization path
   (CSR-mask refinement + integer-rescaled derived index).
 * **Incremental updates** — ``POST /profiles/delta`` applies a
   :class:`~repro.core.updates.ProfileDelta` through the §9 incremental
-  machinery (frozen buckets, re-assigned members, re-materialized
-  weights) instead of a full reload + regroup.
+  machinery: cached group sets keep their frozen buckets and only
+  re-assign members.  Instances are rebuilt on the first read after the
+  delta, so a configuration nobody reads is never re-encoded.
 * **Concurrency** — requests are served by a
   :class:`ThreadingWSGIServer`; a writer-preferring
   :class:`~repro.service.concurrency.ReadWriteLock` lets selections run
@@ -207,28 +209,33 @@ def decode_replication_snapshot(
 
 @dataclass
 class _ConfigArtifacts:
-    """Cached serving artifacts of one configuration.
+    """Every serving artifact of one configuration, with one lifetime.
 
-    An entry is valid while the repository generation it was built at is
-    current, the configuration object is still the stored one (re-putting
-    a configuration replaces the object) and the group set has not been
-    mutated in place (``GroupSet.version``).  ``instances`` maps the
-    effective budget to its built instance; the instance's sparse index
-    is pre-warmed at build time and cached on the instance itself.
+    The frozen ``groups`` are the configuration's one durable artifact;
+    the tables below are derived from them, memoized on first use by
+    :meth:`PodiumService._memo` and dropped together when the entry is
+    replaced (a delta, a re-put configuration, a new state), so every
+    entry in the cache belongs to the current repository generation.  An
+    entry is valid while its configuration object is still the stored
+    one and its group set has not been mutated in place
+    (``GroupSet.version``).
     """
 
     config: DiversificationConfiguration
-    generation: int
     groups: GroupSet
     groups_version: int
+    #: Effective budget → instance, its sparse index pre-warmed on it.
     instances: dict[int, DiversificationInstance] = field(
         default_factory=dict
     )
-    #: Cluster partitions memoized per (budget, ClusterSpec) — the spec
-    #: object is hashable by value, so two requests declaring the same
-    #: clustering share one partition computation.  Entry lifetime is
-    #: the cache entry's own (generation / config / groups-version).
+    #: (budget, ClusterSpec) → partition; the spec hashes by value, so
+    #: requests declaring the same clustering share one computation.
     partitions: dict[tuple[int, ClusterSpec], list] = field(
+        default_factory=dict
+    )
+    #: Budget → streaming maintainer.  The only table a delta carries
+    #: over: each maintainer is repaired, not re-solved.
+    maintainers: dict[int, StreamingMaintainer] = field(
         default_factory=dict
     )
 
@@ -260,7 +267,8 @@ class PodiumService:
         self._lock = ReadWriteLock()
         # Builds happen under the shared (read) lock: double-checked
         # against this mutex so concurrent cold starts build once.
-        self._build_lock = threading.Lock()
+        # Re-entrant: one artifact's build may build another it needs.
+        self._build_lock = threading.RLock()
         self.metrics = metrics or ServiceMetrics()
         self.store = store
         self._swap_margin = swap_margin
@@ -276,10 +284,6 @@ class PodiumService:
         # read_only; write routes answer 503 until POST /admin/promote.
         self.read_only = False
         self.follower: Any | None = None
-        # Streaming maintainers keyed by (configuration, budget); built
-        # lazily on the first maintained selection, repaired on every
-        # ingested delta instead of re-solving from scratch.
-        self._maintainers: dict[tuple[str, int], StreamingMaintainer] = {}
         if store is not None and repository is None and len(store.repository):
             # Recovered boot: the store already replayed snapshot + WAL.
             self._repository = store.repository
@@ -356,7 +360,6 @@ class PodiumService:
             self._repository = state.repository
             self._generation += 1
             self._cache.clear()
-            self._maintainers.clear()
             adopted = [
                 name
                 for name, artifact in state.artifacts.items()
@@ -382,33 +385,25 @@ class PodiumService:
         config = self._configurations.get(name)
         entry = _ConfigArtifacts(
             config=config,
-            generation=self._generation,
             groups=artifact.groups,
             groups_version=artifact.groups.version,
         )
+        self._cache[name] = entry
         if artifact.index is not None:
             started = time.perf_counter()
-            weight, coverage = config.schemes()
-            instance = rebuild_instance(
-                artifact.groups,
-                self._repository_or_raise(),
-                config.budget,
-                weight,
-                coverage,
+            self._instance(
+                entry, config.budget, StageTimer(), index=artifact.index
             )
-            attach_index(instance, artifact.index)
-            entry.instances[config.budget] = instance
-            # Adoption of a checkpoint index stands in for the instance
-            # build a cold boot would pay; recorded as its own stage so
-            # /metrics shows open-vs-build cost.  Mapped opens
-            # (open_index_npz) are split from eager heap loads.
+            # Adoption of a checkpoint index stands in for the encode a
+            # cold boot would pay; recorded as its own stage so /metrics
+            # shows open-vs-build cost.  Mapped opens (open_index_npz)
+            # are split from the eager legacy-snapshot fallback.
             stage = (
                 "artifact_open"
                 if index_source_path(artifact.index) is not None
                 else "artifact_open_eager"
             )
             self.metrics.observe_stage(stage, time.perf_counter() - started)
-        self._cache[name] = entry
 
     def apply_profile_delta(self, delta: ProfileDelta) -> dict[str, Any]:
         """Apply a batch of upserts/removals incrementally (paper §9).
@@ -454,54 +449,35 @@ class PodiumService:
             return response
 
     def _apply_delta_locked(self, delta: ProfileDelta) -> dict[str, Any]:
-        """Apply a delta to the repository + caches (write lock held)."""
+        """Apply a delta to the repository + caches (write lock held).
+
+        Each valid entry is replaced by one holding the re-assigned
+        frozen groups and no instances: the first read rebuilds what it
+        needs.  Maintainers carry over and are repaired against their
+        own budget's instance, the only build on the write path.
+        """
         repository = apply_delta_to_repository(self._repository, delta)
         self._repository = repository
         self._generation += 1
         refreshed: list[str] = []
+        timer = StageTimer()
+        touched = len(delta.touched)
         for name, entry in list(self._cache.items()):
-            current = (
-                self._configurations.get(name)
-                if name in self._configurations
-                else None
-            )
-            if (
-                current is None
-                or entry.config is not current
-                or entry.groups_version != entry.groups.version
+            if name not in self._configurations or not self._entry_valid(
+                entry, self._configurations.get(name)
             ):
                 del self._cache[name]
                 continue
             groups = reassign_groups(entry.groups, repository, delta)
-            weight, coverage = entry.config.schemes()
-            instances: dict[int, DiversificationInstance] = {}
-            for budget in entry.instances:
-                instance = rebuild_instance(
-                    groups, repository, budget, weight, coverage
-                )
-                instance_index(instance)
-                instances[budget] = instance
-            self._cache[name] = _ConfigArtifacts(
-                config=current,
-                generation=self._generation,
+            fresh = self._cache[name] = _ConfigArtifacts(
+                config=entry.config,
                 groups=groups,
                 groups_version=groups.version,
-                instances=instances,
+                maintainers=entry.maintainers,
             )
+            for budget, maintainer in fresh.maintainers.items():
+                maintainer.refresh(self._index(fresh, budget, timer), touched)
             refreshed.append(name)
-        # Repair maintained selections against the refreshed indexes
-        # instead of re-solving; maintainers of dropped cache entries
-        # go with them.
-        touched = len(delta.touched)
-        for key in list(self._maintainers):
-            name, budget = key
-            entry = self._cache.get(name)
-            if entry is None or budget not in entry.instances:
-                del self._maintainers[key]
-                continue
-            self._maintainers[key].refresh(
-                instance_index(entry.instances[budget]), touched
-            )
         return {
             "users": len(repository),
             "upserts": len(delta.upserts),
@@ -611,7 +587,7 @@ class PodiumService:
         child replaces every lock before serving.
         """
         self._lock = ReadWriteLock()
-        self._build_lock = threading.Lock()
+        self._build_lock = threading.RLock()
 
     # -- durable storage ---------------------------------------------------
 
@@ -648,20 +624,26 @@ class PodiumService:
 
     def snapshot_store(self) -> dict[str, Any]:
         """Write a snapshot of the current serving state (admin route)."""
-        store = self._store_or_raise()
-        with self._lock.write():
-            store.set_artifacts(self._export_artifacts())
-            path = store.snapshot()
-            stats = store.stats()
-        stats["snapshot_path"] = str(path)
-        return stats
+        return self._write_snapshot(compact=False)
 
     def compact_store(self) -> dict[str, Any]:
         """Snapshot then truncate the WAL (admin route)."""
+        return self._write_snapshot(compact=True)
+
+    def _write_snapshot(self, compact: bool) -> dict[str, Any]:
+        """Snapshot every cached configuration complete with its index.
+
+        A delta leaves entries without instances, so each default-budget
+        instance is built here first: a recovered process then maps the
+        checkpoint index instead of re-encoding it.
+        """
         store = self._store_or_raise()
         with self._lock.write():
+            timer = StageTimer()
+            for entry in self._cache.values():
+                self._instance(entry, entry.config.budget, timer)
             store.set_artifacts(self._export_artifacts())
-            path = store.compact()
+            path = store.compact() if compact else store.snapshot()
             stats = store.stats()
         stats["snapshot_path"] = str(path)
         return stats
@@ -720,13 +702,13 @@ class PodiumService:
         elif self.read_only:
             snapshot["replication"] = {"role": "follower", "state": "idle"}
         with self._lock.read():
-            if self._maintainers:
-                snapshot["maintainers"] = {
-                    f"{name}@{budget}": maintainer.stats()
-                    for (name, budget), maintainer in (
-                        self._maintainers.items()
-                    )
-                }
+            maintainers = {
+                f"{name}@{budget}": maintainer.stats()
+                for name, entry in self._cache.items()
+                for budget, maintainer in entry.maintainers.items()
+            }
+        if maintainers:
+            snapshot["maintainers"] = maintainers
         if self.cluster_stats_provider is not None:
             # Pool worker: merge the pool-wide view so ``GET /metrics``
             # answered by any worker reports the whole pool — aggregated
@@ -784,30 +766,47 @@ class PodiumService:
             )
         return effective
 
+    @staticmethod
     def _entry_valid(
-        self,
         entry: _ConfigArtifacts | None,
         config: DiversificationConfiguration,
     ) -> bool:
         return (
             entry is not None
             and entry.config is config
-            and entry.generation == self._generation
             and entry.groups_version == entry.groups.version
         )
+
+    def _memo(
+        self,
+        table: dict[Any, Any],
+        key: Any,
+        build: Callable[[], Any],
+        valid: Callable[[Any], bool] = lambda value: value is not None,
+    ) -> tuple[Any, bool]:
+        """The one double-checked builder; returns ``(artifact, built)``.
+
+        A hit takes no lock.  A miss builds under the re-entrant build
+        lock, so concurrent cold requests build once and a build may
+        fetch (or build) the artifacts it depends on.
+        """
+        value = table.get(key)
+        if valid(value):
+            return value, False
+        with self._build_lock:
+            value = table.get(key)
+            if valid(value):
+                return value, False
+            value = table[key] = build()
+            return value, True
 
     def _artifacts(
         self, config_name: str, timer: StageTimer
     ) -> _ConfigArtifacts:
-        """Fetch (or build) the cached artifacts of one configuration."""
+        """Fetch (or group) the cache entry of one configuration."""
         config = self._configurations.get(config_name)
-        entry = self._cache.get(config_name)
-        if self._entry_valid(entry, config):
-            return entry
-        with self._build_lock:
-            entry = self._cache.get(config_name)
-            if self._entry_valid(entry, config):
-                return entry
+
+        def build() -> _ConfigArtifacts:
             repository = self._repository_or_raise()
             with timer.stage("grouping"):
                 if config.property_prefixes is not None:
@@ -822,29 +821,31 @@ class PodiumService:
                 groups = build_simple_groups(
                     repository, config.grouping_config()
                 )
-            entry = _ConfigArtifacts(
-                config=config,
-                generation=self._generation,
-                groups=groups,
-                groups_version=groups.version,
+            return _ConfigArtifacts(
+                config=config, groups=groups, groups_version=groups.version
             )
-            self._cache[config_name] = entry
-            return entry
+
+        entry, _ = self._memo(
+            self._cache,
+            config_name,
+            build,
+            lambda cached: self._entry_valid(cached, config),
+        )
+        return entry
 
     def _instance(
-        self, entry: _ConfigArtifacts, budget: int, timer: StageTimer
+        self,
+        entry: _ConfigArtifacts,
+        budget: int,
+        timer: StageTimer,
+        index: InstanceIndex | None = None,
     ) -> DiversificationInstance:
-        """Fetch (or build + index) the instance for an effective budget."""
-        instance = entry.instances.get(budget)
-        if instance is not None:
-            self.metrics.observe_cache(hit=True)
-            return instance
-        with self._build_lock:
-            instance = entry.instances.get(budget)
-            if instance is not None:
-                self.metrics.observe_cache(hit=True)
-                return instance
-            self.metrics.observe_cache(hit=False)
+        """Fetch (or build + index) the instance for an effective budget.
+
+        ``index`` is a checkpoint index to attach instead of encoding one.
+        """
+
+        def build() -> DiversificationInstance:
             weight, coverage = entry.config.schemes()
             with timer.stage("instance"):
                 # rebuild_instance rather than build_instance: identical
@@ -859,10 +860,22 @@ class PodiumService:
                     weight,
                     coverage,
                 )
-                # Pre-warm the sparse index so no request pays the encode.
-                instance_index(instance)
-            entry.instances[budget] = instance
+                if index is not None:
+                    attach_index(instance, index)
+                else:
+                    # Pre-warm the sparse index so no request pays it.
+                    instance_index(instance)
             return instance
+
+        instance, built = self._memo(entry.instances, budget, build)
+        self.metrics.observe_cache(hit=not built)
+        return instance
+
+    def _index(
+        self, entry: _ConfigArtifacts, budget: int, timer: StageTimer
+    ) -> InstanceIndex:
+        """The sparse index of the budget's instance (built on demand)."""
+        return instance_index(self._instance(entry, budget, timer))
 
     def _plain_select(
         self,
@@ -912,28 +925,20 @@ class PodiumService:
             )
 
     def _maintainer(
-        self, config_name: str, entry: _ConfigArtifacts, budget: int,
-        timer: StageTimer,
+        self, entry: _ConfigArtifacts, budget: int, timer: StageTimer
     ) -> StreamingMaintainer:
-        key = (config_name, budget)
-        maintainer = self._maintainers.get(key)
-        if maintainer is not None:
-            return maintainer
-        # Build the index *before* taking the build lock: _instance
-        # acquires the same (non-reentrant) lock on a cold cache.
-        index = instance_index(self._instance(entry, budget, timer))
-        with self._build_lock:
-            maintainer = self._maintainers.get(key)
-            if maintainer is not None:
-                return maintainer
-            maintainer = StreamingMaintainer(
-                index,
+        """Fetch (or solve) the streaming maintainer for a budget."""
+        maintainer, _ = self._memo(
+            entry.maintainers,
+            budget,
+            lambda: StreamingMaintainer(
+                self._index(entry, budget, timer),
                 budget,
                 swap_margin=self._swap_margin,
                 staleness_fraction=self._staleness_fraction,
-            )
-            self._maintainers[key] = maintainer
-            return maintainer
+            ),
+        )
+        return maintainer
 
     def _partition(
         self,
@@ -944,18 +949,15 @@ class PodiumService:
         timer: StageTimer,
     ) -> list:
         """Fetch (or compute) the memoized partition for a cluster spec."""
-        key = (budget, cluster_spec)
-        partition = entry.partitions.get(key)
-        if partition is not None:
-            return partition
-        with self._build_lock:
-            partition = entry.partitions.get(key)
-            if partition is not None:
-                return partition
+
+        def build() -> list:
             with timer.stage("partition"):
-                partition = partition_rows(index, cluster_spec)
-            entry.partitions[key] = partition
-            return partition
+                return partition_rows(index, cluster_spec)
+
+        partition, _ = self._memo(
+            entry.partitions, (budget, cluster_spec), build
+        )
+        return partition
 
     def _constrained_select(
         self,
@@ -1034,9 +1036,7 @@ class PodiumService:
                     "feedback; omit 'maintained' or 'feedback'"
                 )
             with timer.stage("selection"):
-                maintainer = self._maintainer(
-                    config_name, entry, effective, timer
-                )
+                maintainer = self._maintainer(entry, effective, timer)
                 return {
                     "configuration": config_name,
                     "selected": list(maintainer.selection),

@@ -43,9 +43,10 @@ replays them through
 :meth:`~repro.service.app.PodiumService.apply_profile_delta` — the same
 deterministic incremental machinery the writer used, minus the WAL
 append (a worker holds no store) — so every process converges to
-byte-identical serving state.  Wholesale changes (``POST /profiles``)
-bump the **epoch** instead, forcing a full state transfer on next
-contact.  A full transfer ships the writer's
+byte-identical serving state.  Like the writer, a worker only
+re-assigns groups on replay and rebuilds an instance on its first
+read.  Wholesale changes (``POST /profiles``) bump the **epoch**
+instead, forcing a full state transfer on next contact.  A full transfer ships the writer's
 :meth:`~repro.service.app.PodiumService.replication_snapshot` — the
 repository plus every cached configuration's frozen groups — and the
 worker installs it through
@@ -1057,9 +1058,12 @@ class WorkerPool:
                 )
                 continue
             self._respawns += 1
-            # Fork under the write locks: no request or write can be
+            # Deltas leave the writer's entries without instances; warm
+            # them first so the child starts with built indexes.  Then
+            # fork under the write locks: no request or write can be
             # mid-mutation, so the child clones a consistent snapshot
             # (its own lock objects are re-armed in run_worker).
+            self.service.warm_artifacts()
             with self.coordinator.mutex:
                 with self.service._lock.write():  # noqa: SLF001
                     ready_fd = self._spawn(slot)

@@ -314,20 +314,16 @@ def write_snapshot(
     return final
 
 
-def load_snapshot(
-    path: str | Path, mmap_indexes: bool = False
-) -> SnapshotState:
+def load_snapshot(path: str | Path) -> SnapshotState:
     """Load a snapshot directory written by :func:`write_snapshot`.
 
-    ``mmap_indexes=True`` opens each configuration's index fully lazily
-    via :func:`~repro.core.persistence.open_index_npz` (after checksum
+    Each configuration's index is opened fully lazily via
+    :func:`~repro.core.persistence.open_index_npz` (after checksum
     verification): CSR payload, integer arrays *and* the user-id array
-    become read-only memory maps of the snapshot file, so recovery and
-    every forked serving worker share one page-cache copy instead of
-    private heap pages.  Snapshots written by this version store the
-    arrays uncompressed exactly so this works; legacy
-    DEFLATE-compressed snapshots fall back to the eager
-    :func:`~repro.core.persistence.load_index_npz` with a
+    become read-only memory maps of the snapshot file.  Snapshots
+    written by this version store the arrays uncompressed exactly so
+    this works; legacy DEFLATE-compressed snapshots fall back to the
+    eager :func:`~repro.core.persistence.load_index_npz` with a
     ``RuntimeWarning``.
     """
     path = Path(path)
@@ -379,19 +375,18 @@ def load_snapshot(
         if meta.get("has_index"):
             index_path = path / f"index-{cfg_name}.npz"
             try:
-                if mmap_indexes and index_npz_mappable(index_path):
+                if index_npz_mappable(index_path):
                     index = open_index_npz(index_path)
                 else:
                     index = load_index_npz(index_path)
-                    if mmap_indexes:
-                        warnings.warn(
-                            f"snapshot index {index_path} has "
-                            f"DEFLATE-compressed members and cannot be "
-                            f"memory-mapped; loaded it eagerly.  The "
-                            f"next snapshot rewrites it uncompressed.",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+                    warnings.warn(
+                        f"snapshot index {index_path} has "
+                        f"DEFLATE-compressed members and cannot be "
+                        f"memory-mapped; loaded it eagerly.  The next "
+                        f"snapshot rewrites it uncompressed.",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
             except DatasetError as exc:
                 raise StorageError(
                     f"snapshot {path} has a corrupt index for "

@@ -60,23 +60,17 @@ class DurableRepositoryStore:
         self,
         data_dir: str | Path,
         fsync: bool = True,
-        mmap_indexes: bool = True,
         fs: FilesystemShim | None = None,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.mmap_indexes = mmap_indexes
         self._fs = fs if fs is not None else REAL_FS
         self._lock = threading.RLock()
 
         started = time.monotonic()
         snapshot_path = current_snapshot_path(self.data_dir)
         if snapshot_path is not None:
-            # Recovered CSR indexes are memory-mapped by default: the
-            # serving tier forks worker processes that all reference the
-            # same page-cache copy of the snapshot payload, instead of
-            # each holding a private heap copy.
-            state = load_snapshot(snapshot_path, mmap_indexes=mmap_indexes)
+            state = load_snapshot(snapshot_path)
         else:
             state = SnapshotState(repository=UserRepository(()))
         self.repository = state.repository
@@ -344,7 +338,6 @@ class DurableRepositoryStore:
                 "replay_seconds": self.replay_seconds,
                 "n_users": len(self.repository),
                 "configs": sorted(self.artifacts),
-                "mmap_indexes": self.mmap_indexes,
                 "mapped_artifact_indexes": sum(
                     1
                     for a in self.artifacts.values()

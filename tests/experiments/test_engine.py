@@ -145,6 +145,7 @@ class TestEngineBench:
             users=150, repetitions=2, jobs=2
         )
         baseline, *engine = report["rows"]
+        assert report["warmup_seconds"] > 0
         assert baseline["mode"] == "serial-eager"
         assert report["baseline_selectors"][0] == "podium-eager"
         assert engine

@@ -72,6 +72,21 @@ def client(service):
     return make_client(service)
 
 
+def _count_index_builds(monkeypatch):
+    """Count ``InstanceIndex.build`` calls from now on; returns a reader."""
+    from repro.core.index import InstanceIndex
+
+    calls = []
+    build = InstanceIndex.build.__func__
+
+    def counted(cls, instance):
+        calls.append(instance)
+        return build(cls, instance)
+
+    monkeypatch.setattr(InstanceIndex, "build", classmethod(counted))
+    return lambda: len(calls)
+
+
 class TestHappyPaths:
     def test_health(self, client):
         status, body = client("GET", "/health")
@@ -322,8 +337,8 @@ class TestProfileDelta:
         status, health = client("GET", "/health")
         assert health["users"] == 6
 
-    def test_delta_refresh_counts_as_rebuild_not_miss(
-        self, service, client
+    def test_first_select_after_delta_is_one_miss(
+        self, service, client, monkeypatch
     ):
         client("POST", "/select", {"configuration": "two"})
         client(
@@ -331,10 +346,15 @@ class TestProfileDelta:
             "/profiles/delta",
             {"upserts": {"Zoe": {"avgRating Mexican": 0.99}}},
         )
-        # The refreshed instance is served from cache afterwards.
+        # The delta re-assigned groups only; the first read rebuilds
+        # one instance (one miss, one encode), the next read hits.
+        encodes = _count_index_builds(monkeypatch)
         client("POST", "/select", {"configuration": "two"})
-        assert service.metrics.cache_misses == 1
+        assert (service.metrics.cache_misses, encodes()) == (2, 1)
+        client("POST", "/select", {"configuration": "two"})
+        assert service.metrics.cache_misses == 2
         assert service.metrics.cache_hits == 1
+        assert encodes() == 1
 
     def test_delta_removal(self, service, client):
         status, body = client(
@@ -613,13 +633,10 @@ class TestDurableStore:
         assert got["score"] == want["score"]
         reopened.close()
 
-    @pytest.mark.parametrize("mmap_indexes", (True, False))
-    def test_restore_records_artifact_open_stage(
-        self, tmp_path, mmap_indexes
-    ):
-        """Boot-time checkpoint adoption shows up in /metrics: mapped
-        opens as ``artifact_open``, heap loads as ``artifact_open_eager``,
-        and the storage section counts the mapped indexes."""
+    def test_restore_records_artifact_open_stage(self, tmp_path):
+        """Boot-time checkpoint adoption shows up in /metrics: the
+        mapped open as ``artifact_open``, and the storage section counts
+        the mapped index."""
         from repro.storage import DurableRepositoryStore
 
         data_dir = tmp_path / "data"
@@ -639,19 +656,161 @@ class TestDurableStore:
         call("POST", "/admin/snapshot")
         store.close()
 
-        reopened = DurableRepositoryStore(
-            data_dir, fsync=False, mmap_indexes=mmap_indexes
-        )
+        reopened = DurableRepositoryStore(data_dir, fsync=False)
         restarted = boot(reopened)
         assert restarted.restore_artifacts() == ["default", "two"]
         status, body = make_client(restarted)("GET", "/metrics")
         assert status == 200
-        expected_stage = (
-            "artifact_open" if mmap_indexes else "artifact_open_eager"
+        # The snapshot built every cached configuration's index, so both
+        # are adopted from the checkpoint.
+        assert body["stages"]["artifact_open"]["count"] == 2
+        assert "artifact_open_eager" not in body["stages"]
+        assert body["storage"]["mapped_artifact_indexes"] == 2
+        reopened.close()
+
+
+class TestArtifactLifetime:
+    """Everything derived from a configuration lives and dies with its
+    cache entry; a delta refreshes frozen groups only."""
+
+    ZOE = {"upserts": {"Zoe": {"avgRating Mexican": 0.99}}}
+
+    def _durable_service(self, data_dir):
+        from repro.storage import DurableRepositoryStore
+
+        store = DurableRepositoryStore(data_dir, fsync=False)
+        svc = PodiumService(store=store)
+        svc.configurations.put(
+            DiversificationConfiguration(name="two", budget=2)
         )
-        assert body["stages"][expected_stage]["count"] == 1
-        assert body["storage"]["mmap_indexes"] is mmap_indexes
-        assert body["storage"]["mapped_artifact_indexes"] == (
-            1 if mmap_indexes else 0
+        return svc, store
+
+    def test_delta_encodes_nothing_without_maintainer(
+        self, tmp_path, monkeypatch
+    ):
+        svc, store = self._durable_service(tmp_path / "data")
+        svc.load_repository(example_repository())
+        call = make_client(svc)
+        call("POST", "/select", {"configuration": "two"})
+        call("POST", "/select", {"configuration": "default"})
+        encodes = _count_index_builds(monkeypatch)
+        status, body = call("POST", "/profiles/delta", self.ZOE)
+        assert status == 200
+        assert body["refreshed_configurations"] == ["default", "two"]
+        assert encodes() == 0
+        store.close()
+
+    def test_delta_encodes_once_per_maintained_budget(
+        self, service, client, monkeypatch
+    ):
+        client("POST", "/select", {"configuration": "default"})
+        client("POST", "/select", {"configuration": "two", "maintained": True})
+        encodes = _count_index_builds(monkeypatch)
+        client("POST", "/profiles/delta", self.ZOE)
+        assert encodes() == 1
+        _, body = client(
+            "POST", "/select", {"configuration": "two", "maintained": True}
+        )
+        assert "Zoe" in service.repository
+        assert body["maintainer"]["touched_since_solve"] == 1
+        assert encodes() == 1  # the maintained read reuses that build
+
+    def test_reput_configuration_drops_its_maintainer(self):
+        from repro.datasets.synth import generate_profile_repository
+
+        repository = generate_profile_repository(
+            n_users=400, n_properties=40, mean_profile_size=6.0, seed=1
+        )
+        lbs = DiversificationConfiguration(name="c", weight_scheme="LBS")
+        iden = DiversificationConfiguration(
+            name="c", weight_scheme="Iden", property_prefixes=("prop0000",)
+        )
+        svc = PodiumService(repository)
+        svc.put_configuration(lbs)
+        svc.select("c", maintained=True, explain=False)
+        svc.put_configuration(iden)
+        got = svc.select("c", maintained=True, explain=False)
+        fresh = PodiumService(repository)
+        fresh.put_configuration(iden)
+        want = fresh.select("c", maintained=True, explain=False)
+        assert got["selected"] == want["selected"]
+        assert got["score"] == want["score"]
+
+    def test_compact_before_any_read_keeps_every_index(self, tmp_path):
+        from repro.core.persistence import index_source_path
+        from repro.storage import DurableRepositoryStore
+
+        data_dir = tmp_path / "data"
+        svc, store = self._durable_service(data_dir)
+        svc.load_repository(example_repository())
+        call = make_client(svc)
+        call("POST", "/profiles/delta", self.ZOE)
+        call("POST", "/profiles/delta", {"removals": ["Bob"]})
+        status, _ = call("POST", "/admin/compact")
+        assert status == 200
+        _, want = call("POST", "/select", {"configuration": "two"})
+        store.close()
+
+        reopened = DurableRepositoryStore(data_dir, fsync=False)
+        assert sorted(reopened.artifacts) == ["default", "two"]
+        for artifact in reopened.artifacts.values():
+            assert index_source_path(artifact.index) is not None
+        restarted = PodiumService(store=reopened)
+        restarted.configurations.put(
+            DiversificationConfiguration(name="two", budget=2)
+        )
+        assert restarted.restore_artifacts() == ["default", "two"]
+        _, got = make_client(restarted)(
+            "POST", "/select", {"configuration": "two"}
+        )
+        assert (got["selected"], got["score"]) == (
+            want["selected"],
+            want["score"],
         )
         reopened.close()
+
+    def test_concurrent_cold_maintained_selects_build_once(
+        self, service, monkeypatch
+    ):
+        """Many threads race cold maintained selects (a maintainer build
+        that nests an instance build under the re-entrant build lock):
+        each budget's index is encoded once and every thread is served
+        the same maintainer."""
+        import sys
+
+        budgets = (1, 2, 3)
+        encodes = _count_index_builds(monkeypatch)
+        answers = {budget: [] for budget in budgets}
+        errors = []
+        barrier = threading.Barrier(9)
+
+        def worker(budget):
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(5):
+                    body = service.select(
+                        "two", budget=budget, maintained=True, explain=False
+                    )
+                    answers[budget].append(tuple(body["selected"]))
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(budgets[i % 3],))
+            for i in range(9)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert encodes() == len(budgets)
+        for budget in budgets:
+            assert len(answers[budget]) == 15
+            assert len(set(answers[budget])) == 1

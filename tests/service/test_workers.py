@@ -231,6 +231,45 @@ class TestPoolEndToEnd:
             assert stop(server, signal.SIGTERM) == 0
 
 
+class TestRespawn:
+    def test_respawned_workers_start_warm(self, profiles_file):
+        """A delta leaves the writer's cache entries without instances;
+        the supervisor warms them before forking a replacement, so a
+        respawned worker answers its first selects from the cache."""
+        server, port, _ = boot(
+            ["--profiles", profiles_file, "--workers", "2"]
+        )
+        try:
+            request(port, "/profiles/delta", delta_body(7))
+            cluster = request(port, "/metrics")["cluster"]
+            old = {row["pid"] for row in cluster["per_worker"]}
+            assert len(old) == 2
+            for pid in old:
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    rows = request(port, "/metrics", timeout=5)["cluster"][
+                        "per_worker"
+                    ]
+                except (OSError, urllib.error.URLError):
+                    rows = []
+                pids = {row["pid"] for row in rows}
+                if len(pids) == 2 and not pids & old:
+                    break
+                assert time.monotonic() < deadline, "workers not respawned"
+                time.sleep(0.2)
+            for _ in range(6):
+                got = request(port, "/select", SELECT_BODY)
+                assert got["selected"]
+            totals = request(port, "/metrics")["cluster"]["totals"]
+            assert totals["selects"] == 6
+            assert totals["cache_misses"] == 0
+            assert totals["cache_hits"] == 6
+        finally:
+            stop(server, signal.SIGTERM)
+
+
 class TestRestartIdentity:
     def test_pool4_state_restarts_identically_under_single(
         self, profiles_file, tmp_path

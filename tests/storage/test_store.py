@@ -212,28 +212,13 @@ class TestMappedArtifacts:
 
     def test_reopen_maps_artifact_indexes(self, repo, tmp_path):
         want = self._store_with_snapshot(repo, tmp_path)
-        reopened = DurableRepositoryStore(
-            tmp_path, fsync=False, mmap_indexes=True
-        )
+        reopened = DurableRepositoryStore(tmp_path, fsync=False)
         restored = reopened.artifacts["cfg"]
         assert index_source_path(restored.index) is not None  # mapped
-        stats = reopened.stats()
-        assert stats["mmap_indexes"] is True
-        assert stats["mapped_artifact_indexes"] == 1
+        assert reopened.stats()["mapped_artifact_indexes"] == 1
         got = select_from_index(restored.index, BUDGET, method="matrix")
         assert got.selected == want.selected
         assert got.score == want.score
-        reopened.close()
-
-    def test_eager_reopen_reports_zero_mapped(self, repo, tmp_path):
-        self._store_with_snapshot(repo, tmp_path)
-        reopened = DurableRepositoryStore(
-            tmp_path, fsync=False, mmap_indexes=False
-        )
-        assert index_source_path(reopened.artifacts["cfg"].index) is None
-        stats = reopened.stats()
-        assert stats["mmap_indexes"] is False
-        assert stats["mapped_artifact_indexes"] == 0
         reopened.close()
 
     def test_legacy_compressed_snapshot_loads_eagerly(self, repo, tmp_path):
@@ -247,9 +232,7 @@ class TestMappedArtifacts:
             load_index_npz(index_path), index_path, compressed=True
         )
         with pytest.warns(RuntimeWarning, match="DEFLATE-compressed"):
-            reopened = DurableRepositoryStore(
-                tmp_path, fsync=False, mmap_indexes=True
-            )
+            reopened = DurableRepositoryStore(tmp_path, fsync=False)
         restored = reopened.artifacts["cfg"]
         assert restored.index is not None
         assert index_source_path(restored.index) is None  # eager fallback
