@@ -7,7 +7,11 @@ and exits non-zero if anything deviates:
 * repeated ``/select`` must be served from the artifact cache
   (exactly one instance miss, the rest hits);
 * every error body — malformed JSON, unknown configuration,
-  ``budget: 0`` — must be JSON, never an HTML traceback.
+  ``budget: 0`` — must be JSON, never an HTML traceback;
+* ``cli`` (LBS × Single) at two more budgets must reuse its one
+  instance and its one greedy trajectory: still one instance miss,
+  one trajectory build, and the budget-1 panel is the default one's
+  first pick.
 
 Run from the repository root::
 
@@ -157,6 +161,28 @@ def main() -> None:
             metrics = request(port, "/metrics")
             if metrics["error_count"] < 4:
                 fail("error counter did not track the failed requests")
+
+            # Budget-independent schemes: every budget is one instance
+            # and a prefix of one greedy trajectory.
+            for budget in (1, 3):
+                other = request(
+                    port,
+                    "/select",
+                    json.dumps(
+                        {"configuration": "cli", "budget": budget}
+                    ).encode(),
+                )
+                if other["selected"][:1] != first["selected"][:1]:
+                    fail(f"budget {budget} panel is not a prefix")
+            metrics = request(port, "/metrics")
+            if metrics["cache"]["instance_misses"] != 1:
+                fail(
+                    f"expected budgets to share 1 instance, got "
+                    f"{metrics['cache']['instance_misses']} misses"
+                )
+            builds = metrics["trajectory"]["builds"]
+            if builds != 1:
+                fail(f"expected 1 trajectory build, got {builds}")
         finally:
             server.send_signal(signal.SIGINT)
             try:

@@ -366,7 +366,10 @@ def _greedy_kernel(
     ``update(touched)`` records the dense groups of each pick;
     ``locate(dense_rows)`` returns ``(positions, known)``, the slot of
     every row and which rows are candidates.  The loop stops early when
-    no candidate is feasible.
+    no candidate is feasible.  Without a gate, ``rng`` or sampling it
+    also stops once the best gain is 0 and fills the rest of the budget
+    with the active slots in id order — the picks the argmax would
+    make one by one, without its O(n) pass per pick.
 
     Returns ``(picks, gains, score)``; picks are positions in ``slots``.
     """
@@ -425,6 +428,13 @@ def _greedy_kernel(
             masked = np.where(feasible, gain, np.int64(-1))
             if rng is None:
                 slot = int(np.argmax(masked))
+                if check is None and masked[slot] == 0:
+                    # Saturated: gains never rise, so every later pick is
+                    # the next active slot in id order, at gain 0.
+                    tail = np.flatnonzero(active)[: budget - len(picks)]
+                    picks.extend(tail.tolist())
+                    gains.extend([0] * tail.size)
+                    break
             else:
                 tied = np.flatnonzero(masked == masked.max())
                 slot = int(tied[int(rng.integers(tied.size))])

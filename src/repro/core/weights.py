@@ -21,6 +21,10 @@ The two paper coverage schemes:
 
 * **Single** — ``cov(G) = 1``.
 * **Prop** — ``cov(G) = max(⌊B · |G| / |U|⌋, 1)``.
+
+Iden, LBS and Single never read the budget, so an instance built under
+them is the same for every ``B``; each scheme says so in its class-level
+``budget_independent`` flag (EBS and Prop are the two that depend on it).
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ class WeightScheme(ABC):
 
     #: Short name used in explanations, configs and experiment reports.
     name: str = ""
+    #: Whether ``weights`` ignores the budget (a property of the scheme).
+    budget_independent: bool = False
 
     @abstractmethod
     def weights(
@@ -64,6 +70,7 @@ class IdenWeights(WeightScheme):
     """Identical Group Importance: every group weighs 1."""
 
     name = "Iden"
+    budget_independent = True
 
     def weights(
         self, groups: GroupSet, budget: int, population_size: int
@@ -76,6 +83,7 @@ class LBSWeights(WeightScheme):
     """Group Importance Linearly By Size: ``wei(G) = |G|``."""
 
     name = "LBS"
+    budget_independent = True
 
     def weights(
         self, groups: GroupSet, budget: int, population_size: int
@@ -107,6 +115,8 @@ class CoverageScheme(ABC):
     """Strategy producing ``cov : G -> N`` for a concrete group set."""
 
     name: str = ""
+    #: Whether ``coverage`` ignores the budget (a property of the scheme).
+    budget_independent: bool = False
 
     @abstractmethod
     def coverage(
@@ -122,6 +132,7 @@ class SingleCoverage(CoverageScheme):
     """Single Representative: one member suffices to cover any group."""
 
     name = "Single"
+    budget_independent = True
 
     def coverage(
         self, groups: GroupSet, budget: int, population_size: int

@@ -11,10 +11,12 @@ Unlike the prototype, the serving path is built for sustained traffic:
 
 * **Artifact cache** — one ``_ConfigArtifacts`` entry per configuration
   holds its frozen ``GroupSet`` and everything derived from it
-  (instances with their ``InstanceIndex``, cluster partitions, streaming
-  maintainers).  One memoized builder makes each artifact on first use;
-  replacing the entry drops all of them.  Repeated ``/select`` calls
-  against an unchanged repository perform zero instance rebuilds.
+  (instances with their ``InstanceIndex``, cluster partitions, greedy
+  trajectories, streaming maintainers).  One memoized builder makes
+  each artifact on first use; replacing the entry drops all of them.
+  Repeated ``/select`` calls against an unchanged repository perform
+  zero instance rebuilds, and under budget-independent schemes every
+  budget shares one instance and one trajectory.
 * **Vectorized selection** — plain selections run
   :func:`~repro.core.greedy.select_from_index` over the cached sparse
   index, and customized selections use the matrix customization path
@@ -74,6 +76,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from socketserver import ThreadingMixIn
 from typing import Any, Callable
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
@@ -103,6 +106,7 @@ from ..core.updates import (
     reassign_groups,
     rebuild_instance,
 )
+from ..core.weights import Weight
 from ..core.persistence import index_source_path
 from ..storage import (
     DurableRepositoryStore,
@@ -207,6 +211,33 @@ def decode_replication_snapshot(
     )
 
 
+@dataclass(frozen=True)
+class _Trajectory:
+    """One greedy run long enough to saturate; budget ``k`` is its prefix.
+
+    ``scores[k]`` is the score of the first ``k`` picks, so a budget
+    within the run is answered by slicing, in O(k).
+    """
+
+    result: SelectionResult
+    scores: tuple[Weight, ...]
+
+    @classmethod
+    def of(cls, result: SelectionResult) -> "_Trajectory":
+        return cls(result, tuple(accumulate(result.gains, initial=0)))
+
+    def prefix(self, budget: int) -> SelectionResult | None:
+        """The budget's selection, or ``None`` past the run's length."""
+        if budget > len(self.result):
+            return None
+        return SelectionResult(
+            selected=self.result.selected[:budget],
+            score=self.scores[budget],
+            gains=self.result.gains[:budget],
+            instance=self.result.instance,
+        )
+
+
 @dataclass
 class _ConfigArtifacts:
     """Every serving artifact of one configuration, with one lifetime.
@@ -219,20 +250,30 @@ class _ConfigArtifacts:
     entry is valid while its configuration object is still the stored
     one and its group set has not been mutated in place
     (``GroupSet.version``).
+
+    Instances, partitions and trajectories are keyed by the *instance
+    key* (:meth:`PodiumService._instance_key`): the configuration's own
+    budget when both of its schemes ignore the budget (Iden or LBS with
+    Single), so every request budget shares one instance, and the
+    request's effective budget otherwise (EBS, Prop).
     """
 
     config: DiversificationConfiguration
     groups: GroupSet
     groups_version: int
-    #: Effective budget → instance, its sparse index pre-warmed on it.
+    #: Instance key → instance, its sparse index pre-warmed on it.
     instances: dict[int, DiversificationInstance] = field(
         default_factory=dict
     )
-    #: (budget, ClusterSpec) → partition; the spec hashes by value, so
-    #: requests declaring the same clustering share one computation.
+    #: (instance key, ClusterSpec) → partition; the spec hashes by
+    #: value, so requests declaring the same clustering on one index
+    #: share one computation.
     partitions: dict[tuple[int, ClusterSpec], list] = field(
         default_factory=dict
     )
+    #: Instance key → the saturated plain-greedy run whose prefixes
+    #: answer every plain select (budget-independent schemes only).
+    trajectories: dict[int, _Trajectory] = field(default_factory=dict)
     #: Budget → streaming maintainer.  The only table a delta carries
     #: over: each maintainer is repaired, not re-solved.
     maintainers: dict[int, StreamingMaintainer] = field(
@@ -734,7 +775,11 @@ class PodiumService:
     def instance_for(
         self, config_name: str, budget: int | None = None
     ) -> DiversificationInstance:
-        """Resolve a configuration into a diversification instance."""
+        """Resolve a configuration into a diversification instance.
+
+        Under budget-independent schemes this is the configuration's one
+        instance, built for its own budget, whatever ``budget`` says.
+        """
         with self._lock.read():
             timer = StageTimer()
             entry = self._artifacts(config_name, timer)
@@ -765,6 +810,18 @@ class PodiumService:
                 f"budget must be >= 1, got {effective}"
             )
         return effective
+
+    @staticmethod
+    def _instance_key(
+        config: DiversificationConfiguration, budget: int
+    ) -> int:
+        """The budget an effective budget's instance is built for.
+
+        Under budget-independent schemes (Iden or LBS with Single) one
+        instance, built for the configuration's own budget, serves every
+        request budget; EBS and Prop keep one instance per budget.
+        """
+        return config.budget if config.budget_independent else budget
 
     @staticmethod
     def _entry_valid(
@@ -842,8 +899,11 @@ class PodiumService:
     ) -> DiversificationInstance:
         """Fetch (or build + index) the instance for an effective budget.
 
-        ``index`` is a checkpoint index to attach instead of encoding one.
+        The instance is cached and built under the budget's
+        :meth:`_instance_key`.  ``index`` is a checkpoint index to attach
+        instead of encoding one.
         """
+        key = self._instance_key(entry.config, budget)
 
         def build() -> DiversificationInstance:
             weight, coverage = entry.config.schemes()
@@ -856,7 +916,7 @@ class PodiumService:
                 instance = rebuild_instance(
                     entry.groups,
                     self._repository_or_raise(),
-                    budget,
+                    key,
                     weight,
                     coverage,
                 )
@@ -867,7 +927,7 @@ class PodiumService:
                     instance_index(instance)
             return instance
 
-        instance, built = self._memo(entry.instances, budget, build)
+        instance, built = self._memo(entry.instances, key, build)
         self.metrics.observe_cache(hit=not built)
         return instance
 
@@ -879,15 +939,27 @@ class PodiumService:
 
     def _plain_select(
         self,
+        entry: _ConfigArtifacts,
         instance: DiversificationInstance,
         budget: int,
         timer: StageTimer,
     ) -> SelectionResult:
-        """BASE-DIVERSITY through the vectorized backend when possible."""
+        """BASE-DIVERSITY through the vectorized backend when possible.
+
+        Under budget-independent schemes the answer is a prefix of the
+        configuration's :meth:`_trajectory`; a budget past its length
+        runs fresh.
+        """
         repository = self._repository_or_raise()
         with timer.stage("selection"):
             index: InstanceIndex = instance_index(instance)
             if index.vectorizable and index.n_users == len(repository):
+                if entry.config.budget_independent:
+                    trajectory, built = self._trajectory(entry, instance)
+                    result = trajectory.prefix(budget)
+                    self.metrics.observe_trajectory(built, result is not None)
+                    if result is not None:
+                        return result
                 return select_from_index(
                     index, budget, method="matrix", instance=instance
                 )
@@ -896,6 +968,29 @@ class PodiumService:
             return greedy_select(
                 repository, instance, budget, method="matrix"
             )
+
+    def _trajectory(
+        self, entry: _ConfigArtifacts, instance: DiversificationInstance
+    ) -> tuple[_Trajectory, bool]:
+        """Fetch (or run) the saturated greedy run: ``(trajectory, built)``.
+
+        Algorithm 1 is deterministic, so budget ``k``'s panel is the
+        first ``k`` picks of any longer run.  Under Single coverage each
+        positive-gain pick exhausts at least one group, so a run of
+        ``min(|U|, |G|)`` picks holds every positive-gain pick followed
+        by the zero-gain tail in id order.
+        """
+
+        def build() -> _Trajectory:
+            index = instance_index(instance)
+            length = max(1, min(index.n_users, index.n_groups))
+            return _Trajectory.of(
+                select_from_index(
+                    index, length, method="matrix", instance=instance
+                )
+            )
+
+        return self._memo(entry.trajectories, entry.config.budget, build)
 
     # -- selection module --------------------------------------------------
 
@@ -955,7 +1050,9 @@ class PodiumService:
                 return partition_rows(index, cluster_spec)
 
         partition, _ = self._memo(
-            entry.partitions, (budget, cluster_spec), build
+            entry.partitions,
+            (self._instance_key(entry.config, budget), cluster_spec),
+            build,
         )
         return partition
 
@@ -1056,7 +1153,7 @@ class PodiumService:
                 "constraints": report,
             }
         elif feedback is None or feedback == CustomizationFeedback.none():
-            result = self._plain_select(instance, effective, timer)
+            result = self._plain_select(entry, instance, effective, timer)
             response: dict[str, Any] = {
                 "configuration": config_name,
                 "selected": list(result.selected),
@@ -1102,7 +1199,7 @@ class PodiumService:
             entry = self._artifacts(config_name, timer)
             effective = self._effective_budget(entry.config, budget)
             instance = self._instance(entry, effective, timer)
-            result = self._plain_select(instance, effective, timer)
+            result = self._plain_select(entry, instance, effective, timer)
             # Show distributions for the three heaviest properties.
             heaviest: list[str] = []
             for key in sorted(

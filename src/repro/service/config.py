@@ -52,6 +52,14 @@ class DiversificationConfiguration:
         if self.budget < 1:
             raise ServiceError(f"budget must be >= 1, got {self.budget}")
 
+    @property
+    def budget_independent(self) -> bool:
+        """Whether neither scheme reads the budget (Iden/LBS × Single)."""
+        return (
+            WEIGHT_SCHEMES[self.weight_scheme].budget_independent
+            and COVERAGE_SCHEMES[self.coverage_scheme].budget_independent
+        )
+
     def grouping_config(self) -> GroupingConfig:
         return GroupingConfig(
             buckets_per_property=self.buckets_per_property,

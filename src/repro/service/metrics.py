@@ -8,6 +8,8 @@ object:
   ``"METHOD /path"``;
 * **cache counters** — hits/misses of the per-configuration
   ``(GroupSet, instance, index)`` artifact cache;
+* **trajectory counters** — builds of the per-configuration greedy
+  trajectory and plain selects answered from its prefix (hits);
 * **stage timings** — cumulative/max seconds per pipeline stage
   (``grouping``, ``instance``, ``selection``, ``explanation``), so a slow
   layer is visible without a profiler.
@@ -79,6 +81,7 @@ class ServiceMetrics:
             "max_seconds": 0.0,
             "wal_seconds": 0.0,
         }
+        self._trajectory = {"builds": 0, "hits": 0}
         self._constraints = {
             "fair": 0,
             "clustered": 0,
@@ -159,6 +162,17 @@ class ServiceMetrics:
             else:
                 self._cache_misses += 1
 
+    def observe_trajectory(self, built: bool, hit: bool) -> None:
+        """Record one plain select under budget-independent schemes.
+
+        ``built`` says the lookup ran the configuration's greedy
+        trajectory; ``hit`` that a prefix of it answered (a budget past
+        its end runs fresh).
+        """
+        with self._lock:
+            self._trajectory["builds"] += built
+            self._trajectory["hits"] += hit
+
     def observe_stage(self, name: str, seconds: float) -> None:
         """Record one standalone pipeline stage outside a request.
 
@@ -230,6 +244,7 @@ class ServiceMetrics:
                     "wal_seconds": round(self._ingest["wal_seconds"], 6),
                 },
                 "constraints": dict(self._constraints),
+                "trajectory": dict(self._trajectory),
                 "stages": stages,
             }
 

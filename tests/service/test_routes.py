@@ -283,15 +283,65 @@ class TestCaching:
         assert body["stages"]["grouping"]["count"] == 1
 
     def test_budget_override_caches_separately(self, service, client):
-        client("POST", "/select", {"configuration": "two"})
+        # Prop coverage reads the budget: one instance per budget.
+        service.configurations.put(
+            DiversificationConfiguration(
+                name="prop", coverage_scheme="Prop", budget=2
+            )
+        )
+        client("POST", "/select", {"configuration": "prop"})
         client(
-            "POST", "/select", {"configuration": "two", "budget": 1}
+            "POST", "/select", {"configuration": "prop", "budget": 1}
         )
         assert service.metrics.cache_misses == 2
         client(
-            "POST", "/select", {"configuration": "two", "budget": 1}
+            "POST", "/select", {"configuration": "prop", "budget": 1}
         )
         assert service.metrics.cache_hits == 1
+
+    def test_budget_independent_budgets_share_one_instance(
+        self, service, client
+    ):
+        # LBS × Single never reads the budget: every budget is one
+        # instance and a prefix of one greedy trajectory.
+        client("POST", "/select", {"configuration": "two"})
+        for budget in (1, 3, 2):
+            status, _ = client(
+                "POST", "/select", {"configuration": "two", "budget": budget}
+            )
+            assert status == 200
+        _, body = client("GET", "/metrics")
+        assert body["cache"] == {"instance_hits": 3, "instance_misses": 1}
+        assert body["trajectory"] == {"builds": 1, "hits": 4}
+
+    def test_trajectory_rebuilt_once_per_delta(
+        self, service, client, monkeypatch
+    ):
+        # Builds run through the module-level name tracing wraps.
+        from repro.service import app as app_module
+
+        runs = []
+        real = app_module.select_from_index
+        monkeypatch.setattr(
+            app_module,
+            "select_from_index",
+            lambda *args, **kwargs: runs.append(1) or real(*args, **kwargs),
+        )
+        service.warm_artifacts()
+        for budget in (2, 1, 4):
+            client(
+                "POST", "/select", {"configuration": "two", "budget": budget}
+            )
+        _, body = client("GET", "/metrics")
+        assert body["trajectory"]["builds"] == 1
+        client("POST", "/profiles/delta", {"removals": ["Alice"]})
+        for budget in (2, 1, 4):
+            client(
+                "POST", "/select", {"configuration": "two", "budget": budget}
+            )
+        _, body = client("GET", "/metrics")
+        assert body["trajectory"] == {"builds": 2, "hits": 6}
+        assert len(runs) == 2
 
     def test_profile_reload_invalidates(self, service, client):
         client("POST", "/select", {"configuration": "two"})
@@ -774,8 +824,8 @@ class TestArtifactLifetime:
     ):
         """Many threads race cold maintained selects (a maintainer build
         that nests an instance build under the re-entrant build lock):
-        each budget's index is encoded once and every thread is served
-        the same maintainer."""
+        the budgets share LBS × Single's one index, encoded once, and
+        every thread is served its budget's one maintainer."""
         import sys
 
         budgets = (1, 2, 3)
@@ -810,7 +860,7 @@ class TestArtifactLifetime:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert encodes() == len(budgets)
+        assert encodes() == 1
         for budget in budgets:
             assert len(answers[budget]) == 15
             assert len(set(answers[budget])) == 1
