@@ -8,6 +8,9 @@ layer makes:
   its WAL (``GET /admin/wal``), and reports ``lag_seq == 0`` in
   ``/metrics`` once caught up; ``/select`` answers must be identical on
   both processes.
+* **Configurations replicate** — a configuration put on the primary
+  after the follower's bootstrap travels as a WAL record: the follower
+  lists it and answers ``/select`` on it like the primary.
 * **Read-only standby** — writes against the follower answer 503 while
   it follows.
 * **Failover without ack loss** — the primary is killed with
@@ -16,7 +19,7 @@ layer makes:
   be present, with new writes continuing the global sequence numbering.
 * **Replicated acks are locally durable** — the promoted follower is
   restarted from its own ``--data-dir`` and still holds the full
-  population.
+  population, and still lists and serves the replicated configuration.
 
 Run from the repository root::
 
@@ -41,6 +44,15 @@ SRC = os.path.join(REPO_ROOT, "src")
 
 N_SEED_DELTAS = 5
 N_STREAM_DELTAS = 5
+#: Configuration puts between the bootstrap and the streamed deltas.
+N_CONFIG_PUTS = 1
+LATE_CONFIG = {
+    "name": "late",
+    "weight_scheme": "Iden",
+    "budget": 2,
+    "buckets_per_property": 2,
+}
+LATE_SELECT = json.dumps({"configuration": "late"}).encode()
 
 
 def fail(message: str) -> None:
@@ -155,10 +167,30 @@ def main() -> None:
             wait_for_lag_zero(fport, N_SEED_DELTAS)
             print("replication-smoke: bootstrap + catch-up OK")
 
+            request(
+                pport, "/configurations",
+                json.dumps(LATE_CONFIG).encode(), expect_status=201,
+            )
+            wait_for_lag_zero(fport, N_SEED_DELTAS + N_CONFIG_PUTS)
+            listed = [c["name"] for c in request(fport, "/configurations")]
+            if "late" not in listed:
+                fail(f"follower does not list the put configuration: {listed}")
+            want_late = request(pport, "/select", LATE_SELECT)
+            got_late = request(fport, "/select", LATE_SELECT)
+            if got_late["selected"] != want_late["selected"] or (
+                got_late["score"] != want_late["score"]
+            ):
+                fail(
+                    f"follower selection on 'late' diverged: "
+                    f"{got_late['selected']} != {want_late['selected']}"
+                )
+            print("replication-smoke: configuration put replicated OK")
+
             for i in range(N_SEED_DELTAS, N_SEED_DELTAS + N_STREAM_DELTAS):
                 request(pport, "/profiles/delta", delta_body(i))
             total = N_SEED_DELTAS + N_STREAM_DELTAS
-            replication = wait_for_lag_zero(fport, total)
+            records = total + N_CONFIG_PUTS  # WAL records: deltas + puts
+            replication = wait_for_lag_zero(fport, records)
             print(
                 f"replication-smoke: streamed "
                 f"{replication['applied_records']} records, lag 0 OK"
@@ -193,10 +225,10 @@ def main() -> None:
                 not promoted.get("promoted")
             ):
                 fail(f"promotion did not enable writes: {promoted}")
-            if promoted.get("wal_seq") != total:
+            if promoted.get("wal_seq") != records:
                 fail(
                     f"promoted at wal_seq {promoted.get('wal_seq')}, "
-                    f"expected {total}"
+                    f"expected {records}"
                 )
             health = request(fport, "/health")
             if health["users"] != 5 + total:  # example corpus + deltas
@@ -205,16 +237,17 @@ def main() -> None:
                     f"users, expected {5 + total}"
                 )
             ack = request(fport, "/profiles/delta", delta_body(1000))
-            if not ack.get("durable") or ack.get("wal_seq") != total + 1:
+            if not ack.get("durable") or ack.get("wal_seq") != records + 1:
                 fail(
                     f"promoted follower write not durable or "
                     f"mis-numbered: {ack}"
                 )
             print(
                 f"replication-smoke: promote after SIGKILL OK "
-                f"(took over at seq {total}, first own write seq "
+                f"(took over at seq {records}, first own write seq "
                 f"{ack['wal_seq']})"
             )
+            promoted_late = request(fport, "/select", LATE_SELECT)
         finally:
             if follower is not None:
                 stop(follower)
@@ -234,6 +267,11 @@ def main() -> None:
                     f"follower data dir recovered {health['users']} "
                     f"users, expected {expected}"
                 )
+            listed = [c["name"] for c in request(rport, "/configurations")]
+            if "late" not in listed:
+                fail(f"cold boot lost the put configuration: {listed}")
+            if request(rport, "/select", LATE_SELECT) != promoted_late:
+                fail("cold boot answers /select on 'late' differently")
         finally:
             stop(reopened)
         print("replication-smoke: follower-local durability OK")

@@ -25,7 +25,6 @@ from .metrics import (
     request_log_record,
 )
 from .workers import (
-    ChangeLog,
     SharedPoolState,
     WorkerPool,
     WorkerRuntime,
@@ -59,7 +58,6 @@ __all__ = [
     "WORKER_COUNTER_FIELDS",
     "aggregate_worker_rows",
     "request_log_record",
-    "ChangeLog",
     "SharedPoolState",
     "WorkerPool",
     "WorkerRuntime",

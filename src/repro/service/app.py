@@ -103,17 +103,22 @@ from ..core.profiles import UserProfile, UserRepository
 from ..core.updates import (
     ProfileDelta,
     apply_delta_to_repository,
+    profile_delta_from_dict,
     reassign_groups,
     rebuild_instance,
 )
 from ..core.weights import Weight
 from ..core.persistence import index_source_path
 from ..storage import (
+    KIND_CONFIG,
+    KIND_DELTA,
     DurableRepositoryStore,
+    MemoryLog,
     SnapshotArtifact,
     SnapshotState,
     StreamingMaintainer,
-    snapshot_state_from_dict,
+    config_record,
+    delta_record,
     snapshot_state_to_dict,
 )
 from .concurrency import ReadWriteLock
@@ -194,20 +199,6 @@ def parse_profile_delta(document: dict[str, Any]) -> ProfileDelta:
     return ProfileDelta(
         upserts=tuple(upserts),
         removals=frozenset(str(u) for u in removals_raw),
-    )
-
-
-def decode_replication_snapshot(
-    document: dict[str, Any],
-) -> tuple[SnapshotState, list[DiversificationConfiguration]]:
-    """Decode :meth:`PodiumService.replication_snapshot` for
-    :meth:`PodiumService.install_state`: ``(state, configurations)``."""
-    return (
-        snapshot_state_from_dict(document),
-        [
-            DiversificationConfiguration.from_dict(doc)
-            for doc in document.get("configurations", ())
-        ],
     )
 
 
@@ -325,6 +316,9 @@ class PodiumService:
         # read_only; write routes answer 503 until POST /admin/promote.
         self.read_only = False
         self.follower: Any | None = None
+        # A store-less pool writer's change log: the bounded in-memory
+        # stand-in for the WAL its workers tail (set by WriteCoordinator).
+        self.memory_log: MemoryLog | None = None
         if store is not None and repository is None and len(store.repository):
             # Recovered boot: the store already replayed snapshot + WAL.
             self._repository = store.repository
@@ -349,7 +343,9 @@ class PodiumService:
     def restore_artifacts(self) -> list[str]:
         """Install the store's recovered state (boot recovery).
 
-        Called once at boot, *after* configurations are registered; see
+        Called once at boot, *after* configurations are registered: the
+        stored ones the boot did not register come back, and a name the
+        boot registered keeps the boot's definition.  See
         :meth:`install_state` for the adoption rule.  Restoring the
         frozen group sets is what makes a restarted process answer
         ``/select`` identically: a fresh regroup could legally draw
@@ -362,6 +358,10 @@ class PodiumService:
             SnapshotState(
                 repository=self.store.repository,
                 artifacts=self.store.artifacts,
+                configurations={
+                    **self.store.configurations,
+                    **self._registry(),  # the boot's definitions win
+                },
             ),
             new_epoch=False,
         )
@@ -369,7 +369,6 @@ class PodiumService:
     def install_state(
         self,
         state: SnapshotState,
-        configurations: list[DiversificationConfiguration] | None = None,
         base_seq: int | None = None,
         new_epoch: bool = True,
     ) -> list[str]:
@@ -378,25 +377,30 @@ class PodiumService:
         The one path every wholesale change takes: boot recovery
         (:meth:`restore_artifacts`), a profile load
         (:meth:`load_repository`), a pool worker's full resync and a
-        replication follower's bootstrap.  ``configurations`` replaces
-        the registry (a receiver adopting a sender's registry).  Each
-        artifact is adopted only when its stored configuration dict
-        equals the registered configuration's — a changed configuration
-        must regroup, not serve stale buckets.  Its index, when present,
-        is attached to the default-budget instance.
+        replication follower's bootstrap.  A non-empty
+        ``state.configurations`` replaces the registry (a receiver
+        adopting a sender's registry).  Each artifact is adopted only
+        when its stored configuration dict equals the registered
+        configuration's — a changed configuration must regroup, not
+        serve stale buckets.  Its index, when present, is attached to
+        the default-budget instance.
 
-        With a store attached and ``new_epoch`` true (everything but
-        recovery, where the store already holds this state) every
-        registered configuration is grouped first, then the store starts
-        a new epoch whose snapshot carries those groups; ``base_seq``
-        aligns its sequence numbering with a replication primary's.
+        With ``new_epoch`` true (everything but recovery, where the
+        store already holds this state) the change log starts a new
+        epoch.  A store first groups every registered configuration,
+        then snapshots the epoch with those groups and the registry;
+        ``base_seq`` aligns its sequence numbering with a replication
+        primary's.
 
         Returns the sorted names of the adopted artifacts.
         """
         with self._lock.write():
-            if configurations is not None:
+            if state.configurations:
                 self._configurations = ConfigurationStore(
-                    tuple(configurations)
+                    tuple(
+                        DiversificationConfiguration.from_dict(config)
+                        for config in state.configurations.values()
+                    )
                 )
             self._repository = state.repository
             self._generation += 1
@@ -410,7 +414,7 @@ class PodiumService:
             ]
             for name in adopted:
                 self._adopt_artifact(name, state.artifacts[name])
-            if self.store is not None and new_epoch:
+            if new_epoch and self.store is not None:
                 timer = StageTimer()
                 for name in self._configurations.names():
                     self._artifacts(name, timer)
@@ -418,7 +422,10 @@ class PodiumService:
                     state.repository,
                     base_seq=base_seq,
                     artifacts=self._export_artifacts(),
+                    configurations=self._registry(),
                 )
+            elif new_epoch and self.memory_log is not None:
+                self.memory_log.reset()
         return sorted(adopted)
 
     def _adopt_artifact(self, name: str, artifact: SnapshotArtifact) -> None:
@@ -447,46 +454,64 @@ class PodiumService:
             self.metrics.observe_stage(stage, time.perf_counter() - started)
 
     def apply_profile_delta(self, delta: ProfileDelta) -> dict[str, Any]:
-        """Apply a batch of upserts/removals incrementally (paper §9).
+        """Apply a batch of upserts/removals incrementally (paper §9):
+        cached group sets keep their frozen bucket boundaries, so the
+        offline bucketing step is skipped (see :meth:`apply_record`)."""
+        return self.apply_record(delta_record(delta))
 
-        Instead of a full reload + regroup, cached group sets are kept
-        with frozen bucket boundaries: touched users are re-assigned to
-        the existing buckets and weights/coverage re-materialized, so the
-        expensive offline bucketing step is skipped for every cached
-        configuration.
+    def put_configuration(
+        self, config: DiversificationConfiguration
+    ) -> dict[str, Any]:
+        """Insert or replace a configuration, dropping its stale artifacts.
+        Part of the served problem, so a change-log record like a delta."""
+        return self.apply_record(config_record(config.to_dict()))
 
-        With a store attached the delta is WAL-appended first and the
-        response carries its ``wal_seq``.  Without one — a pool worker
-        or a store-less follower replaying a delta another process made
-        durable — the same machinery applies it in memory only, so every
-        process converges to byte-identical serving state.
+    def apply_record(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """Turn one change-log record into serving state.
+
+        The one path a change takes in every process: a local write, a
+        pool worker catching up, a follower applying a shipped record.
+        A store WAL-appends it (validated, fsynced) before any state
+        changes; a store-less pool writer logs it in memory once applied.
         """
         started = time.perf_counter()
         wal_seconds = 0.0
+        kind = payload.get("kind")
         with self._lock.write():
-            if self._repository is None:
-                raise ServiceError("no profiles loaded")
+            if kind == KIND_DELTA:
+                delta = profile_delta_from_dict(payload.get("delta") or {})
+                self._repository_or_raise()
+            elif kind == KIND_CONFIG:
+                config = DiversificationConfiguration.from_dict(
+                    payload.get("config") or {}
+                )
+            else:
+                raise ServiceError(f"unknown change record kind {kind!r}")
             if self.store is not None:
-                # Durability before acknowledgment: the delta reaches the
-                # write-ahead log (validated, fsynced) before any
-                # in-memory state changes; a crash from here on replays
-                # it on the next boot.
                 wal_started = time.perf_counter()
-                seq = self.store.log_delta(delta)
+                seq = self.store.log(payload)
                 wal_seconds = time.perf_counter() - wal_started
-            response = self._apply_delta_locked(delta)
+            if kind == KIND_CONFIG:
+                self._configurations.put(config)
+                self._cache.pop(config.name, None)
+                response = {"configuration": config.name}
+            else:
+                response = self._apply_delta_locked(delta)
+                self.metrics.observe_ingest(
+                    len(delta.upserts),
+                    len(delta.removals),
+                    time.perf_counter() - started,
+                    wal_seconds,
+                )
             if self.store is not None:
                 self.store.adopt(
-                    self._repository, self._export_artifacts()
+                    self._repository,
+                    self._export_artifacts(),
+                    self._registry(),
                 )
-                response["wal_seq"] = seq
-                response["durable"] = True
-            self.metrics.observe_ingest(
-                len(delta.upserts),
-                len(delta.removals),
-                time.perf_counter() - started,
-                wal_seconds,
-            )
+                response.update(wal_seq=seq, durable=True)
+            elif self.memory_log is not None:
+                self.memory_log.append(payload)
             return response
 
     def _apply_delta_locked(self, delta: ProfileDelta) -> dict[str, Any]:
@@ -534,64 +559,50 @@ class PodiumService:
     # -- multi-process serving hooks ---------------------------------------
 
     def replication_snapshot(self) -> dict[str, Any]:
-        """The handoff document of the whole serving state.
+        """The ``GET /admin/state`` document of the whole serving state.
 
-        The JSON form of the :class:`~repro.storage.SnapshotState` a
-        snapshot holds — the repository plus every cached
-        configuration's config dict and frozen group set (see
-        :func:`~repro.storage.snapshot.snapshot_state_to_dict`) — and
-        the registered configurations.  A pool worker's full resync and
-        a follower's bootstrap decode it with
-        :func:`decode_replication_snapshot` and hand it to
-        :meth:`install_state`, so the receiver serves the sender's
-        bucket boundaries, not a fresh regroup.
+        The JSON :class:`~repro.storage.SnapshotState` (repository,
+        frozen groups, registry) plus the change log's ``wal_seq`` and
+        ``reset_epoch``, read under one lock.  A pool worker's full
+        install and a follower's bootstrap hand it to
+        :meth:`install_state`, so the receiver serves the sender's bucket
+        boundaries and resumes tailing at exactly that position.
         """
         with self._lock.read():
+            log = self.change_log
             document = snapshot_state_to_dict(
                 SnapshotState(
                     repository=self._repository_or_raise(),
                     artifacts=self._export_artifacts(),
-                    wal_seq=(
-                        self.store.last_seq if self.store is not None else 0
-                    ),
+                    configurations=self._registry(),
+                    wal_seq=log.last_seq if log is not None else 0,
                 )
             )
-            document["configurations"] = [
-                self._configurations.get(name).to_dict()
-                for name in self._configurations.names()
-            ]
-            # WAL-shipping bootstrap: the follower resumes tailing from
-            # exactly "wal_seq", in this epoch.  The key is
-            # "reset_epoch", not "epoch" — the pool writer's handle_sync
-            # merges this document under its own epoch counter and must
-            # not be clobbered.
             document["reset_epoch"] = (
-                self.store.reset_epoch if self.store is not None else 0
+                log.reset_epoch if log is not None else 0
             )
             return document
 
     def wal_records_since(
         self, from_seq: int, limit: int = 256
     ) -> dict[str, Any]:
-        """The ``GET /admin/wal`` document a follower tails.
+        """The ``GET /admin/wal`` document a follower or worker tails.
 
         Ships records with ``seq > from_seq`` plus the log tip and the
-        reset-epoch counter; ``resync`` tells the follower a contiguous
-        continuation is impossible (records compacted away, or the
-        follower is ahead of this primary) and a full state transfer is
+        reset-epoch counter; ``resync`` tells the reader a contiguous
+        continuation is impossible (records compacted away or evicted,
+        or the reader is ahead of this log) and a full state transfer is
         needed.
         """
-        store = self._store_or_raise()
+        log = self.change_log or self._store_or_raise()
         if limit < 1:
             raise ServiceError(f"limit must be >= 1, got {limit}")
-        records, last_seq, resync = store.records_since(
-            from_seq, limit=limit
-        )
+        records, last_seq, resync = log.records_since(from_seq, limit=limit)
         return {
             "from_seq": from_seq,
             "last_seq": last_seq,
             "resync": resync,
-            "reset_epoch": store.reset_epoch,
+            "reset_epoch": log.reset_epoch,
             "records": [
                 {"seq": r.seq, "payload": r.payload} for r in records
             ],
@@ -655,6 +666,19 @@ class PodiumService:
             )
         return exported
 
+    def _registry(self) -> dict[str, dict[str, Any]]:
+        """The registered configurations as config dicts, by name."""
+        return {
+            name: self._configurations.get(name).to_dict()
+            for name in self._configurations.names()
+        }
+
+    @property
+    def change_log(self) -> DurableRepositoryStore | MemoryLog | None:
+        """The change log readers tail: the store's WAL, else the
+        in-memory log of a store-less pool writer."""
+        return self.store if self.store is not None else self.memory_log
+
     def _store_or_raise(self) -> DurableRepositoryStore:
         if self.store is None:
             raise ServiceError(
@@ -688,14 +712,6 @@ class PodiumService:
             stats = store.stats()
         stats["snapshot_path"] = str(path)
         return stats
-
-    def put_configuration(
-        self, config: DiversificationConfiguration
-    ) -> None:
-        """Insert or replace a configuration, dropping its stale artifacts."""
-        with self._lock.write():
-            self._configurations.put(config)
-            self._cache.pop(config.name, None)
 
     def warm_artifacts(self) -> list[str]:
         """Build every configuration's default-budget serving artifacts.

@@ -4,9 +4,11 @@ A follower boots with ``repro serve --follow http://primary:port``: it
 performs one full state transfer (``GET /admin/state`` — profiles,
 configurations, every cached configuration's frozen group set and the
 primary's WAL position), then a background thread polls
-``GET /admin/wal?from_seq=<applied>`` and replays every shipped delta
-through the service's *existing* incremental-update path — the same
-:func:`~repro.core.updates.apply_delta_to_repository` +
+``GET /admin/wal?from_seq=<applied>`` and applies every shipped record —
+a profile delta or a configuration put — through
+:meth:`~repro.service.app.PodiumService.apply_record`, the one path a
+change takes into serving state in every process.  A delta thereby runs
+the same :func:`~repro.core.updates.apply_delta_to_repository` +
 ``reassign_groups`` machinery a recovery replay uses.  The transfer is
 installed through :meth:`~repro.service.app.PodiumService.install_state`,
 the path boot recovery takes, so the follower keeps the primary's bucket
@@ -22,19 +24,21 @@ The primary's WAL sequence numbers are globally contiguous (numbering
 survives compaction, snapshots and restarts), so a follower running its
 own ``--data-dir`` bootstraps its store at the primary's position
 (``install_state(..., base_seq=primary_wal_seq)``, whose epoch snapshot
-keeps the shipped groups) and then logs each shipped
-delta into its *own* WAL — which assigns exactly the shipped sequence
+keeps the shipped groups and registry) and then logs each shipped
+record into its *own* WAL — which assigns exactly the shipped sequence
 number.  Any divergence between shipped and locally-assigned sequence
-is a protocol violation and forces a full resync.
+is a protocol violation and raises.
 
 Resync triggers
 ---------------
-* the primary reports ``resync`` (the records the follower needs were
-  compacted away, or the follower is *ahead* — divergent histories);
-* the primary's reset epoch changed (``load_repository`` wholesale
-  replacement keeps sequence numbering, so an epoch counter is the only
-  signal that history was rewritten);
-* a shipped record fails to apply or mis-numbers locally.
+:func:`apply_log_tail` is the catch-up rule this follower and every pool
+worker share.  It installs the full state instead of applying records
+when the log reports ``resync`` (records compacted away or evicted from
+an in-memory log, or the reader is *ahead*: divergent histories), when
+its reset epoch changed (a wholesale ``load_repository`` keeps sequence
+numbering, so only the epoch says history was rewritten), or when a
+record does not continue the reader's sequence.  Records at or below
+that sequence (a duplicated batch) are skipped: none applies twice.
 
 Lag is exported under ``replication`` in ``GET /metrics``: ``lag_seq``
 is the primary tip minus the applied position, ``lag_seconds`` the time
@@ -49,15 +53,48 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from typing import Any
+from typing import Any, Callable
 
 from ..core.errors import ServiceError
-from ..core.updates import profile_delta_from_dict
-from .app import decode_replication_snapshot
+from ..storage import snapshot_state_from_dict
 
 logger = logging.getLogger("repro.service.replication")
 
-_KIND_DELTA = "delta"
+
+def apply_log_tail(
+    service: Any,
+    tail: dict[str, Any],
+    epoch: int,
+    applied_seq: int,
+    install: Callable[[], None],
+    advance: Callable[[int], None],
+) -> bool:
+    """Apply one ``GET /admin/wal`` document at ``(epoch, applied_seq)``.
+
+    Returns ``False`` after a full ``install()`` (see the resync rule
+    above; the rest of the batch is dropped), else ``True`` once each
+    new record went through ``service.apply_record`` and ``advance``.
+    """
+    if int(tail.get("reset_epoch", 0)) != epoch or tail.get("resync"):
+        install()
+        return False
+    for record in tail.get("records", ()):
+        seq = int(record["seq"])
+        if seq <= applied_seq:
+            continue  # duplicate: already applied
+        if seq != applied_seq + 1:
+            logger.warning("seq %s after %s: full install", seq, applied_seq)
+            install()
+            return False
+        response = service.apply_record(record.get("payload") or {})
+        if "wal_seq" in response and response["wal_seq"] != seq:
+            raise ServiceError(
+                f"replication sequence skew: primary shipped seq "
+                f"{seq}, local WAL assigned {response['wal_seq']}"
+            )
+        advance(seq)
+        applied_seq = seq
+    return True
 
 
 class WalFollower:
@@ -65,7 +102,7 @@ class WalFollower:
 
     ``service`` is duck-typed (a :class:`~repro.service.app.
     PodiumService`); the follower only uses its public replication
-    surface: ``install_state`` and ``apply_profile_delta``.
+    surface: ``install_state`` and ``apply_record``.
     """
 
     def __init__(
@@ -120,9 +157,7 @@ class WalFollower:
         self._thread.start()
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.timeout + self.poll_interval)
+        self._halt()
         with self._lock:
             if self.state != "promoted":
                 self.state = "stopped"
@@ -135,15 +170,18 @@ class WalFollower:
         means taking over at the last replicated sequence — exactly the
         durability the primary acknowledged and shipped.
         """
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self.timeout + self.poll_interval)
+        self._halt()
         try:
             self._poll_once()
         except Exception as exc:  # noqa: BLE001 — primary may be dead
             logger.info("promote: final drain skipped (%s)", exc)
         with self._lock:
             self.state = "promoted"
+
+    def _halt(self) -> None:
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join(timeout=self.timeout + self.poll_interval)
 
     # -- replication --------------------------------------------------------
 
@@ -162,20 +200,14 @@ class WalFollower:
             if exc.code != 400:
                 raise
             doc = None  # primary holds no profiles yet
+        seq = epoch = 0
         if doc is not None:
-            state, configs = decode_replication_snapshot(doc)
-            self.service.install_state(
-                state, configs, base_seq=state.wal_seq
-            )
+            state = snapshot_state_from_dict(doc)
+            self.service.install_state(state, base_seq=state.wal_seq)
+            seq, epoch = state.wal_seq, int(doc.get("reset_epoch", 0))
         with self._lock:
-            if doc is not None:
-                self.applied_seq = state.wal_seq
-                self.primary_seq = self.applied_seq
-                self.primary_epoch = int(doc.get("reset_epoch", 0))
-            else:
-                self.applied_seq = 0
-                self.primary_seq = 0
-                self.primary_epoch = 0
+            self.applied_seq = self.primary_seq = seq
+            self.primary_epoch = epoch
             self.resyncs += 1
             self.last_contact_unix = time.time()
             self.last_caught_up_unix = time.time()
@@ -199,54 +231,20 @@ class WalFollower:
             known_epoch = self.primary_epoch
         doc = self._get(f"/admin/wal?from_seq={cursor}&limit=256")
         now = time.time()
-        epoch = int(doc.get("reset_epoch", 0))
         with self._lock:
             self.last_contact_unix = now
             self.primary_seq = int(doc.get("last_seq", 0))
-        if epoch != known_epoch or doc.get("resync"):
-            # History rewritten (epoch reset) or the needed records were
-            # compacted away: only a full transfer can reconverge.
-            self.resync()
-            return
-        for record in doc.get("records", ()):
-            applied = self._apply_shipped(
-                int(record["seq"]), record.get("payload") or {}
-            )
-            if not applied:
-                return  # resynced mid-batch: the rest of it is stale
+        apply_log_tail(
+            self.service, doc, known_epoch, cursor, self.resync, self._advance
+        )
         with self._lock:
             if self.applied_seq >= self.primary_seq:
                 self.last_caught_up_unix = time.time()
 
-    def _apply_shipped(self, seq: int, payload: dict[str, Any]) -> bool:
-        with self._lock:
-            expected = self.applied_seq + 1
-        if seq != expected or payload.get("kind") != _KIND_DELTA:
-            logger.warning(
-                "shipped record seq=%s kind=%r (expected seq %s): "
-                "resyncing",
-                seq,
-                payload.get("kind"),
-                expected,
-            )
-            self.resync()
-            return False
-        # With its own store the service logs the delta into the local
-        # WAL (which assigns the next contiguous sequence) before
-        # applying it, so an acked replica survives its own crash; a
-        # store-less standby applies it in memory only.
-        response = self.service.apply_profile_delta(
-            profile_delta_from_dict(payload.get("delta") or {})
-        )
-        if "wal_seq" in response and response["wal_seq"] != seq:
-            raise ServiceError(
-                f"replication sequence skew: primary shipped seq "
-                f"{seq}, local WAL assigned {response['wal_seq']}"
-            )
+    def _advance(self, seq: int) -> None:
         with self._lock:
             self.applied_seq = seq
             self.applied_records += 1
-        return True
 
     # -- observability ------------------------------------------------------
 

@@ -16,9 +16,9 @@ Topology
     parent (writer + supervisor)             worker 0..N-1 (readers)
     ├─ DurableRepositoryStore (WAL+snap)     ├─ no store (fd released)
     ├─ WriteCoordinator                      ├─ PooledWSGIServer
-    │   applies writes, publishes to ring    │   SO_REUSEPORT socket
+    │   applies writes, publishes counters   │   SO_REUSEPORT socket
     ├─ ControlServer (unix socket) ◄────────►├─ WorkerRuntime
-    │   ops: write / sync / cluster          │   forwards writes, syncs
+    │   ops: write / wal / state / cluster   │   forwards writes, tails log
     └─ SharedPoolState (shm counters)        └─ _SharedSlotMetrics
 
 **Reads** (``/select``, ``/groups``, ``/health``, ...) are answered
@@ -29,29 +29,26 @@ inherited listening socket and compete on ``accept``.
 
 **Writes** (``POST /profiles``, ``/profiles/delta``, ``/configurations``,
 ``/admin/snapshot``, ``/admin/compact``) are forwarded over a unix
-control socket to the single writer — the parent — which WAL-appends and
-applies them through exactly the single-process code path
-(:func:`repro.service.app._dispatch`), appends the operation to an
-in-process replication ring, and bumps a shared-memory **version**
-counter.  Durability-before-acknowledgment is therefore identical to
-single-process serving: the client's 200 means the delta is fsynced.
+control socket to the single writer — the parent — which applies them
+through exactly the single-process code path
+(:func:`repro.service.app._dispatch`).  A delta or configuration put is a
+change-log record: WAL-appended before it is applied with a store, put
+in a bounded :class:`~repro.storage.MemoryLog` (same records, same
+reader API) without one.  The client's 200 means the delta is fsynced,
+as in single-process serving.
 
-**Invalidation** is a per-request compare of two integers: each worker
-checks the shared ``(epoch, version)`` pair before answering a read.
-When behind, it asks the writer for the ring entries it missed and
-replays them through
-:meth:`~repro.service.app.PodiumService.apply_profile_delta` — the same
-deterministic incremental machinery the writer used, minus the WAL
-append (a worker holds no store) — so every process converges to
-byte-identical serving state.  Like the writer, a worker only
-re-assigns groups on replay and rebuilds an instance on its first
-read.  Wholesale changes (``POST /profiles``) bump the **epoch**
-instead, forcing a full state transfer on next contact.  A full transfer ships the writer's
-:meth:`~repro.service.app.PodiumService.replication_snapshot` — the
-repository plus every cached configuration's frozen groups — and the
-worker installs it through
-:meth:`~repro.service.app.PodiumService.install_state`, the path boot
-recovery takes, so it keeps the writer's bucket boundaries.
+**Invalidation** is a per-request compare of two integers: the shared
+``(epoch, version)`` pair mirrors the log's ``(reset_epoch, last_seq)``.
+A worker behind it tails the writer's log as a replication follower
+tails a primary — reading over the control socket the documents
+``GET /admin/wal`` and ``GET /admin/state`` serve — through the shared
+:func:`~repro.service.replication.apply_log_tail`: each record goes
+through :meth:`~repro.service.app.PodiumService.apply_record`, the path
+the writer took, so every process converges to byte-identical serving
+state.  A new epoch (``POST /profiles``), a gap (compacted or evicted
+records) or an out-of-sequence record installs the writer's full state
+through :meth:`~repro.service.app.PodiumService.install_state`, the path
+boot recovery takes, so the worker keeps the writer's bucket boundaries.
 
 Worker lifetime is tied to the parent three ways: SIGTERM on graceful
 shutdown, ``PR_SET_PDEATHSIG`` (Linux), and a lifeline pipe whose EOF —
@@ -82,18 +79,17 @@ from typing import Any, Callable
 from wsgiref.simple_server import WSGIServer
 
 from ..core.errors import PodiumError, ServiceError
+from ..storage import MemoryLog, snapshot_state_from_dict
 from .app import (
     _JSON,
     _QuietHandler,
     _STATUS_LINES,
+    _WRITE_ROUTES,
     PodiumService,
     _content_length,
     _dispatch,
-    decode_replication_snapshot,
     make_wsgi_app,
-    parse_profile_delta,
 )
-from .config import DiversificationConfiguration
 from .metrics import (
     WORKER_COUNTER_FIELDS,
     ServiceMetrics,
@@ -101,20 +97,16 @@ from .metrics import (
     aggregate_worker_rows,
     request_log_record,
 )
+from .replication import apply_log_tail
 
 logger = logging.getLogger("repro.service.workers")
 
 #: Mutating routes a worker must not answer itself: single-writer
 #: replication routes them to the parent over the control socket.
-FORWARDED_ROUTES = frozenset(
-    {
-        ("POST", "/profiles"),
-        ("POST", "/profiles/delta"),
-        ("POST", "/configurations"),
-        ("POST", "/admin/snapshot"),
-        ("POST", "/admin/compact"),
-    }
-)
+FORWARDED_ROUTES = _WRITE_ROUTES | {
+    ("POST", "/admin/snapshot"),
+    ("POST", "/admin/compact"),
+}
 
 _FRAME_HEADER = struct.Struct(">I")
 _MAX_FRAME = 512 * 1024 * 1024  # corrupt-length guard, not a quota
@@ -130,10 +122,11 @@ class SharedPoolState:
     """Fork-shared pool state: invalidation counters + per-worker slots.
 
     Allocated *before* the workers fork, so every process addresses the
-    same ``multiprocessing`` shared-memory pages.  ``version`` counts
-    published incremental operations (deltas, configuration puts);
-    ``epoch`` counts wholesale replacements.  A worker whose local pair
-    lags either counter syncs with the writer before answering a read.
+    same ``multiprocessing`` shared-memory pages.  ``version`` mirrors
+    the writer's change-log ``last_seq`` (deltas, configuration puts);
+    ``epoch`` its ``reset_epoch`` (wholesale replacements).  A worker
+    whose local pair lags either counter catches up before answering a
+    read.
 
     The writer is the only mutator of ``version``/``epoch`` (a plain
     store is enough — no cross-process atomics needed); each worker is
@@ -179,63 +172,6 @@ class SharedPoolState:
             for slot in range(self.slots)
             if self._pids[slot]
         ]
-
-
-# ---------------------------------------------------------------------------
-# Replication ring
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChangeEntry:
-    version: int
-    kind: str  # "delta" | "config"
-    payload: dict[str, Any]
-
-
-class ChangeLog:
-    """Bounded in-memory ring of published write operations.
-
-    Workers that fall behind by more entries than the ring holds (or
-    that straddle an epoch bump) get a full state transfer instead of
-    deltas; ``since`` returning ``None`` signals that.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        self._capacity = capacity
-        self._entries: list[ChangeEntry] = []
-        self._dropped = 0  # highest version evicted from the ring
-        self._lock = threading.Lock()
-
-    def append(self, entry: ChangeEntry) -> None:
-        with self._lock:
-            self._entries.append(entry)
-            while len(self._entries) > self._capacity:
-                self._dropped = self._entries.pop(0).version
-
-    def clear(self) -> None:
-        """Invalidate every buffered entry (epoch bump)."""
-        with self._lock:
-            if self._entries:
-                self._dropped = self._entries[-1].version
-                self._entries.clear()
-
-    def since(
-        self, after_version: int, upto_version: int
-    ) -> list[ChangeEntry] | None:
-        """Entries in ``(after_version, upto_version]``, oldest first.
-
-        ``None`` when ``after_version`` predates the ring's history and
-        the caller needs a full resync.
-        """
-        with self._lock:
-            if after_version < self._dropped:
-                return None
-            return [
-                e
-                for e in self._entries
-                if after_version < e.version <= upto_version
-            ]
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +225,24 @@ class WriteCoordinator:
     ``handle_write`` replays a forwarded HTTP write through the *same*
     route dispatch the single-process server uses — identical
     validation, durability and response bodies — then publishes the
-    operation and bumps the shared version counter, all under one mutex
-    so ring order always equals apply order.
+    change log's position (``memory_log`` without a store) to the shared
+    counters, all under one mutex.
     """
 
     def __init__(
         self,
         service: PodiumService,
         shared: SharedPoolState,
-        changelog: ChangeLog,
+        memory_log: MemoryLog | None,
         reuseport: bool,
     ) -> None:
         self.service = service
         self.shared = shared
-        self.changelog = changelog
         self.reuseport = reuseport
         self.mutex = threading.Lock()
+        if memory_log is not None:
+            service.memory_log = memory_log
+        self._publish()
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
@@ -316,11 +254,13 @@ class WriteCoordinator:
                     str(request.get("body", "")).encode(),
                 )
                 return {"status": status, "payload": payload}
-            if op == "sync":
-                return self.handle_sync(
-                    int(request.get("epoch", 0)),
-                    int(request.get("version", 0)),
+            if op == "wal":
+                return self.service.wal_records_since(
+                    int(request.get("from_seq", 0)),
+                    int(request.get("limit", 256)),
                 )
+            if op == "state":
+                return self.service.replication_snapshot()
             if op == "cluster":
                 return self.cluster_document()
         except Exception as exc:  # noqa: BLE001 — keep the channel alive
@@ -348,55 +288,15 @@ class WriteCoordinator:
                 return 400, {"error": str(exc)}
             except (KeyError, TypeError, ValueError) as exc:
                 return 400, {"error": f"malformed request: {exc}"}
-            if status < 400:
-                self._publish(path, body)
+            finally:
+                self._publish()
             return status, payload
 
-    def _publish(self, path: str, body: bytes) -> None:
-        """Make an applied write visible to the pool (mutex held)."""
-        if path == "/profiles":
-            # Wholesale replacement: deltas buffered against the old
-            # population are meaningless — new epoch, full transfers.
-            self.changelog.clear()
-            self.shared.epoch.value += 1
-            return
-        if path in ("/admin/snapshot", "/admin/compact"):
-            return  # storage-only; serving state unchanged
-        kind = "delta" if path == "/profiles/delta" else "config"
-        version = int(self.shared.version.value) + 1
-        self.changelog.append(
-            ChangeEntry(version, kind, json.loads(body.decode() or "{}"))
-        )
-        self.shared.version.value = version
-
-    def handle_sync(self, epoch: int, version: int) -> dict[str, Any]:
-        shared_epoch = int(self.shared.epoch.value)
-        shared_version = int(self.shared.version.value)
-        if epoch == shared_epoch:
-            entries = self.changelog.since(version, shared_version)
-            if entries is not None:
-                return {
-                    "mode": "deltas",
-                    "epoch": shared_epoch,
-                    "entries": [
-                        {
-                            "version": e.version,
-                            "kind": e.kind,
-                            "payload": e.payload,
-                        }
-                        for e in entries
-                    ],
-                }
-        # Full transfer: under the write mutex so no publish lands
-        # between reading the counters and snapshotting the state.
-        with self.mutex:
-            state = self.service.replication_snapshot()
-            return {
-                "mode": "full",
-                "epoch": int(self.shared.epoch.value),
-                "version": int(self.shared.version.value),
-                **state,
-            }
+    def _publish(self) -> None:
+        """Mirror the change log's position into the shared counters."""
+        log = self.service.change_log
+        self.shared.epoch.value = log.reset_epoch
+        self.shared.version.value = log.last_seq
 
     def cluster_document(self) -> dict[str, Any]:
         rows = self.shared.rows()
@@ -543,54 +443,56 @@ class WorkerRuntime:
         )
 
     def ensure_fresh(self) -> bool:
-        """Catch up with the writer if the shared counters moved.
+        """Catch up with the writer's log if the shared counters moved.
 
         Returns ``True`` when a sync ran.  Raises on RPC failure —
-        callers decide whether to serve stale (reads) or fail (tests).
+        callers decide whether to serve stale (reads) or fail (tests);
+        records applied before the failure stay applied, and the next
+        sync resumes after them.
         """
         if not self.is_stale():
             return False
         with self._refresh_lock:
             if not self.is_stale():
                 return True  # another request thread caught us up
-            reply = self._rpc(
-                {"op": "sync", "epoch": self.epoch, "version": self.version}
-            )
-            if "error" in reply:
-                raise OSError(f"sync rejected: {reply['error']}")
+            tail = self._call({"op": "wal", "from_seq": self.version})
             self._count("syncs")
-            if reply.get("mode") == "full":
-                self._adopt_full(reply)
-            else:
-                self._replay(reply.get("entries", ()))
+            while (
+                apply_log_tail(
+                    self.service,
+                    tail,
+                    self.epoch,
+                    self.version,
+                    self._adopt_full,
+                    self._advance,
+                )
+                and tail["records"]
+                and self.is_stale()
+            ):
+                # A batch is capped by the read limit: fetch the next.
+                tail = self._call({"op": "wal", "from_seq": self.version})
             return True
 
-    def _adopt_full(self, reply: dict[str, Any]) -> None:
-        state, configs = decode_replication_snapshot(reply)
-        self.service.install_state(state, configs)
-        self.epoch = int(reply["epoch"])
-        self.version = int(reply["version"])
+    def _call(self, request: dict[str, Any]) -> dict[str, Any]:
+        reply = self._rpc(request)
+        if "error" in reply:
+            raise OSError(f"{request['op']} rejected: {reply['error']}")
+        return reply
 
-    def _replay(self, entries: Any) -> None:
-        for entry in entries:
-            kind = entry.get("kind")
-            if kind == "delta":
-                self.service.apply_profile_delta(
-                    parse_profile_delta(entry.get("payload") or {})
-                )
-            elif kind == "config":
-                self.service.put_configuration(
-                    DiversificationConfiguration.from_dict(
-                        entry.get("payload") or {}
-                    )
-                )
-            else:
-                raise OSError(f"unknown replication entry kind {kind!r}")
-            self.version = int(entry["version"])
+    def _advance(self, seq: int) -> None:
+        self.version = seq
+
+    def _adopt_full(self) -> None:
+        """Install the writer's whole state (epoch change or log gap)."""
+        document = self._call({"op": "state"})
+        state = snapshot_state_from_dict(document)
+        self.service.install_state(state)
+        self.epoch = int(document["reset_epoch"])
+        self.version = state.wal_seq
 
     def forward(self, method: str, path: str, body: bytes) -> tuple[int, Any]:
         """Route a mutating request to the writer; returns (status, payload)."""
-        reply = self._rpc(
+        reply = self._call(
             {
                 "op": "write",
                 "method": method,
@@ -598,8 +500,6 @@ class WorkerRuntime:
                 "body": body.decode("utf-8", "replace"),
             }
         )
-        if "error" in reply:
-            raise OSError(f"writer error: {reply['error']}")
         self._count("forwarded_writes")
         return int(reply["status"]), reply["payload"]
 
@@ -835,6 +735,7 @@ def run_worker(
             # The parent owns the WAL; the child only had it by fork.
             store.release_after_fork()
             service.store = None
+        service.memory_log = None  # the parent's log; workers tail it
         service.reset_concurrency_after_fork()
         service.metrics = _SharedSlotMetrics(shared, slot)
         runtime = WorkerRuntime(
@@ -931,9 +832,11 @@ class WorkerPool:
         self.host, self.port = self._sock.getsockname()[:2]
 
         self.shared = SharedPoolState(self.workers)
-        self.changelog = ChangeLog()
         self.coordinator = WriteCoordinator(
-            self.service, self.shared, self.changelog, self.reuseport
+            self.service,
+            self.shared,
+            MemoryLog() if self.service.store is None else None,
+            self.reuseport,
         )
         self._control_dir = tempfile.mkdtemp(prefix="repro-pool-")
         self.control_path = os.path.join(self._control_dir, "control.sock")

@@ -1,9 +1,10 @@
 """Durable storage & streaming maintenance for the serving layer.
 
-Write-ahead log (:mod:`.wal`), atomic snapshots (:mod:`.snapshot`), the
-recovering store facade (:mod:`.store`), the streaming selection
-maintainer (:mod:`.maintainer`) and the injectable filesystem shim the
-chaos harness drives faults through (:mod:`.faults`).
+Write-ahead log and its in-memory twin (:mod:`.wal`), atomic snapshots
+(:mod:`.snapshot`), the recovering store facade and its record kinds
+(:mod:`.store`), the streaming selection maintainer (:mod:`.maintainer`)
+and the injectable filesystem shim the chaos harness drives faults
+through (:mod:`.faults`).
 """
 
 from .faults import (
@@ -23,10 +24,20 @@ from .snapshot import (
     snapshot_state_to_dict,
     write_snapshot,
 )
-from .store import DurableRepositoryStore, inspect_data_dir
-from .wal import WalRecord, WalScan, WriteAheadLog, scan_wal
+from .store import (
+    KIND_CONFIG,
+    KIND_DELTA,
+    DurableRepositoryStore,
+    config_record,
+    delta_record,
+    inspect_data_dir,
+)
+from .wal import MemoryLog, WalRecord, WalScan, WriteAheadLog, scan_wal
 
 __all__ = [
+    "KIND_CONFIG",
+    "KIND_DELTA",
+    "MemoryLog",
     "REAL_FS",
     "CrashFS",
     "DurableRepositoryStore",
@@ -39,7 +50,9 @@ __all__ = [
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
+    "config_record",
     "current_snapshot_path",
+    "delta_record",
     "inspect_data_dir",
     "load_snapshot",
     "scan_wal",

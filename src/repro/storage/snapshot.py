@@ -9,7 +9,7 @@ did before a restart:
     snapshots/
       CURRENT              # name of the live snapshot directory
       snap-000000000042/
-        manifest.json      # generation, wal_seq, per-config metadata
+        manifest.json      # generation, wal_seq, registry, per-config metadata
         profiles.json      # full repository (podium-profiles-v1)
         groups-<name>.json # frozen bucket group set per configuration
         index-<name>.npz   # optional cached CSR index per configuration
@@ -85,6 +85,8 @@ class SnapshotState:
 
     repository: UserRepository
     artifacts: dict[str, SnapshotArtifact] = field(default_factory=dict)
+    #: The registry: configuration name -> config dict.
+    configurations: dict[str, dict[str, Any]] = field(default_factory=dict)
     wal_seq: int = 0
     generation: int = 0
 
@@ -93,11 +95,13 @@ def snapshot_state_to_dict(state: SnapshotState) -> dict[str, Any]:
     """The JSON handoff form of a state (indexes and generation left out).
 
     Uses the serializers the snapshot files do: the repository as a
-    ``podium-profiles-v1`` document and each artifact as its config dict
-    plus its frozen group set.  A receiver rebuilds indexes lazily, as
-    recovery does after a WAL replay.
+    ``podium-profiles-v1`` document, each artifact as its config dict
+    plus its frozen group set, and the registry as a list of config
+    dicts.  A receiver rebuilds indexes lazily, as recovery does after a
+    WAL replay.
     """
     return {
+        "configurations": list(state.configurations.values()),
         "profiles": profiles_to_dict(state.repository),
         "artifacts": {
             name: {
@@ -117,6 +121,10 @@ def snapshot_state_from_dict(document: dict[str, Any]) -> SnapshotState:
     state with no frozen groups: the receiver regroups.
     """
     return SnapshotState(
+        configurations={
+            str(doc["name"]): dict(doc)
+            for doc in document.get("configurations") or ()
+        },
         repository=profiles_from_dict(document["profiles"]),
         artifacts={
             name: SnapshotArtifact(
@@ -277,6 +285,7 @@ def write_snapshot(
         "wal_seq": state.wal_seq,
         "n_users": len(state.repository),
         "created_unix": time.time(),
+        "registry": list(state.configurations.values()),
         "configs": configs,
     }
     fs.write_bytes(
@@ -400,6 +409,10 @@ def load_snapshot(path: str | Path) -> SnapshotState:
     return SnapshotState(
         repository=repository,
         artifacts=artifacts,
+        # Manifests written before the registry was durable have none.
+        configurations={
+            str(doc["name"]): doc for doc in manifest.get("registry", ())
+        },
         wal_seq=int(manifest.get("wal_seq", 0)),
         generation=int(manifest.get("generation", 0)),
     )

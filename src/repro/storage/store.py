@@ -7,10 +7,13 @@ replays every WAL record with a sequence number past the snapshot's
 uses (:func:`apply_delta_to_repository` + :func:`reassign_groups`), so a
 recovered process holds byte-identical serving state.
 
-Durability contract: :meth:`append_delta` validates the delta against
-the current repository, writes it to the WAL (fsync by default) and only
-then applies it in memory.  The WAL therefore never contains a record
-that cannot be replayed, and a delta is acknowledged only once it is on
+A WAL record is a profile delta or a configuration put, which registers
+the definition and drops the name's frozen artifact.
+
+Durability contract: :meth:`log` validates a record against the current
+state and writes it to the WAL (fsync by default); :meth:`append` then
+applies it in memory.  The WAL therefore never contains a record that
+cannot be replayed, and a change is acknowledged only once it is on
 disk.  Compaction folds the applied log into a fresh snapshot and
 truncates the WAL; sequence numbering survives compaction and restarts.
 """
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from ..core.errors import StorageError, UnknownUserError
 from ..core.persistence import index_source_path
@@ -41,9 +45,21 @@ from .snapshot import (
     load_snapshot,
     write_snapshot,
 )
-from .wal import WalRecord, WriteAheadLog, scan_wal
+from .wal import WalRecord, WriteAheadLog, scan_wal, tail_window
 
-_KIND_DELTA = "delta"
+#: The record kinds of every change log (WAL, in-memory log, shipping).
+KIND_DELTA = "delta"
+KIND_CONFIG = "config"
+
+
+def delta_record(delta: ProfileDelta) -> dict[str, Any]:
+    """The change-log record of a profile delta."""
+    return {"kind": KIND_DELTA, "delta": profile_delta_to_dict(delta)}
+
+
+def config_record(config: dict[str, Any]) -> dict[str, Any]:
+    """The change-log record of a configuration put (its ``to_dict``)."""
+    return {"kind": KIND_CONFIG, "config": config}
 
 
 class DurableRepositoryStore:
@@ -75,6 +91,10 @@ class DurableRepositoryStore:
             state = SnapshotState(repository=UserRepository(()))
         self.repository = state.repository
         self.artifacts: dict[str, SnapshotArtifact] = dict(state.artifacts)
+        #: The registered configurations (name -> config dict).
+        self.configurations: dict[str, dict[str, Any]] = dict(
+            state.configurations
+        )
         self.generation = state.generation
         self.snapshot_seq = state.wal_seq
         # Counts wholesale epoch replacements (reset) this process
@@ -92,7 +112,7 @@ class DurableRepositoryStore:
         for record in self._wal.records():
             if record.seq <= state.wal_seq:
                 continue  # already folded into the snapshot
-            self._apply(self._decode(record.payload))
+            self._apply(record.payload)
             self.replayed_records += 1
         if self.replayed_records:
             # Any cached indexes in the snapshot predate the replayed
@@ -118,25 +138,39 @@ class DurableRepositoryStore:
         """Sequence number of the newest durable record."""
         return self._wal.last_seq
 
-    @staticmethod
-    def _decode(payload: dict[str, Any]) -> ProfileDelta:
-        if payload.get("kind") != _KIND_DELTA:
-            raise StorageError(
-                f"unknown WAL record kind {payload.get('kind')!r}"
-            )
-        return profile_delta_from_dict(payload.get("delta") or {})
+    def _check(self, payload: dict[str, Any]) -> None:
+        """Refuse a record that replay could not apply (lock held)."""
+        kind = payload.get("kind")
+        if kind not in (KIND_DELTA, KIND_CONFIG):
+            raise StorageError(f"unknown WAL record kind {kind!r}")
+        for user_id in (payload.get("delta") or {}).get("removals", ()):
+            if user_id not in self.repository:
+                raise UnknownUserError(
+                    f"cannot remove unknown user {user_id!r}"
+                )
 
-    def _apply(self, delta: ProfileDelta) -> None:
-        """Apply a delta to the in-memory state (repository + groups)."""
-        self.repository = apply_delta_to_repository(self.repository, delta)
-        self.artifacts = {
-            name: SnapshotArtifact(
-                a.config,
-                reassign_groups(a.groups, self.repository, delta),
-                index=None,  # incidence changed; caller rebuilds lazily
+    def _apply(self, payload: dict[str, Any]) -> None:
+        """Apply a record to the in-memory state (lock held)."""
+        kind = payload.get("kind")
+        if kind == KIND_CONFIG:
+            config = dict(payload["config"])
+            self.configurations[config["name"]] = config
+            self.artifacts.pop(config["name"], None)
+        elif kind == KIND_DELTA:
+            delta = profile_delta_from_dict(payload.get("delta") or {})
+            self.repository = apply_delta_to_repository(
+                self.repository, delta
             )
-            for name, a in self.artifacts.items()
-        }
+            self.artifacts = {
+                name: SnapshotArtifact(
+                    a.config,
+                    reassign_groups(a.groups, self.repository, delta),
+                    index=None,  # incidence changed; caller rebuilds lazily
+                )
+                for name, a in self.artifacts.items()
+            }
+        else:
+            raise StorageError(f"unknown WAL record kind {kind!r}")
         self.generation += 1
 
     # -- writing -----------------------------------------------------------
@@ -158,60 +192,53 @@ class DurableRepositoryStore:
             self.generation += 1
             self.snapshot()
 
-    def append_delta(self, delta: ProfileDelta) -> int:
-        """Durably log then apply one delta; returns its sequence number.
+    def log(self, payload: dict[str, Any]) -> int:
+        """Durably log a record WITHOUT applying it; returns its sequence.
 
-        Removals are validated *before* the WAL write so the log never
-        holds a record that replay would refuse.
+        The serving layer applies the record itself, exactly once, then
+        mirrors its state back via :meth:`adopt`.  The record is first
+        validated against the store's state, so the WAL never holds an
+        unapplyable record.
         """
         with self._lock:
-            for user_id in delta.removals:
-                if user_id not in self.repository:
-                    raise UnknownUserError(
-                        f"cannot remove unknown user {user_id!r}"
-                    )
-            seq = self._wal.append(
-                {"kind": _KIND_DELTA, "delta": profile_delta_to_dict(delta)}
-            )
-            self._apply(delta)
+            self._check(payload)
+            return self._wal.append(payload)
+
+    def append(self, payload: dict[str, Any]) -> int:
+        """Durably log then apply one record; returns its sequence."""
+        with self._lock:
+            seq = self.log(payload)
+            self._apply(payload)
             return seq
 
-    def log_delta(self, delta: ProfileDelta) -> int:
-        """Durably log a delta WITHOUT applying it; returns its sequence.
+    def append_delta(self, delta: ProfileDelta) -> int:
+        """Durably log then apply one delta; returns its sequence number."""
+        return self.append(delta_record(delta))
 
-        The serving layer's ingest path uses this so the delta is applied
-        exactly once — by the service's own incremental machinery — and
-        then mirrored back via :meth:`adopt`.  Removals are validated
-        against the store's repository first, preserving the invariant
-        that the WAL never holds an unapplyable record (the caller must
-        keep the store's repository current via :meth:`adopt`).
-        """
-        with self._lock:
-            for user_id in delta.removals:
-                if user_id not in self.repository:
-                    raise UnknownUserError(
-                        f"cannot remove unknown user {user_id!r}"
-                    )
-            return self._wal.append(
-                {"kind": _KIND_DELTA, "delta": profile_delta_to_dict(delta)}
-            )
+    def log_delta(self, delta: ProfileDelta) -> int:
+        """Durably log a delta without applying it (see :meth:`log`)."""
+        return self.log(delta_record(delta))
 
     def adopt(
         self,
-        repository: UserRepository,
+        repository: UserRepository | None,
         artifacts: dict[str, SnapshotArtifact] | None = None,
+        configurations: dict[str, dict[str, Any]] | None = None,
     ) -> None:
         """Mirror the serving layer's post-apply state into the store.
 
-        Pairs with :meth:`log_delta`: the service applies the logged
-        delta through its own cache-refresh path and hands the resulting
-        repository (and optionally rebuilt artifacts) back, so snapshots
-        capture exactly what is being served.
+        Pairs with :meth:`log`: the service applies the logged record
+        through its own cache-refresh path and hands the resulting
+        repository, artifacts and registry back (``None`` keeps the
+        store's), so snapshots capture exactly what is being served.
         """
         with self._lock:
-            self.repository = repository
+            if repository is not None:
+                self.repository = repository
             if artifacts is not None:
                 self.artifacts = dict(artifacts)
+            if configurations is not None:
+                self.configurations = dict(configurations)
             self.generation += 1
 
     def set_artifacts(
@@ -229,6 +256,7 @@ class DurableRepositoryStore:
                 SnapshotState(
                     repository=self.repository,
                     artifacts=self.artifacts,
+                    configurations=self.configurations,
                     wal_seq=self.last_seq,
                     generation=self.generation,
                 ),
@@ -249,12 +277,14 @@ class DurableRepositoryStore:
         repository: UserRepository,
         base_seq: int | None = None,
         artifacts: dict[str, SnapshotArtifact] | None = None,
+        configurations: dict[str, dict[str, Any]] | None = None,
     ) -> None:
         """Replace the repository wholesale (new epoch).
 
         The previous history is discarded: artifacts are replaced by
         ``artifacts`` (the group sets the caller will serve for the new
-        population; none by default), a fresh snapshot makes the new
+        population; none by default), the registry by ``configurations``
+        (kept when ``None``), a fresh snapshot makes the new
         state durable, and only then is the WAL truncated.
         Snapshot-before-truncate is the crash-safety point: the snapshot
         captures ``wal_seq == last_seq``, so every pre-reset WAL record
@@ -268,6 +298,8 @@ class DurableRepositoryStore:
         with self._lock:
             self.repository = repository
             self.artifacts = dict(artifacts or {})
+            if configurations is not None:
+                self.configurations = dict(configurations)
             self.generation += 1
             self.reset_epoch += 1
             if base_seq is not None:
@@ -280,24 +312,12 @@ class DurableRepositoryStore:
     ) -> tuple[tuple[WalRecord, ...], int, bool]:
         """WAL records past ``from_seq`` for a replication follower.
 
-        Returns ``(records, last_seq, resync)``.  ``resync`` is true when
-        the log can no longer serve a contiguous continuation from
-        ``from_seq`` — compaction or a reset discarded the records the
-        follower still needs — in which case the follower must fall back
-        to a full state transfer.
+        Returns ``(records, last_seq, resync)``; see
+        :func:`~repro.storage.wal.tail_window` for when ``resync`` is
+        set and the follower must fall back to a full state transfer.
         """
-        with self._lock:
-            if from_seq > self.last_seq:
-                # The follower is ahead of us: divergent histories
-                # (e.g. it was promoted and we are the stale primary).
-                return (), self.last_seq, True
         records, last_seq = self._wal.read_since(from_seq, limit=limit)
-        if records and records[0].seq != from_seq + 1:
-            return (), last_seq, True
-        if not records and from_seq < last_seq:
-            # Behind, but the log holds nothing to ship (compacted away).
-            return (), last_seq, True
-        return records, last_seq, False
+        return tail_window(records, from_seq, last_seq)
 
     def close(self) -> None:
         self._wal.close()
@@ -338,6 +358,7 @@ class DurableRepositoryStore:
                 "replay_seconds": self.replay_seconds,
                 "n_users": len(self.repository),
                 "configs": sorted(self.artifacts),
+                "registry": sorted(self.configurations),
                 "mapped_artifact_indexes": sum(
                     1
                     for a in self.artifacts.values()
@@ -360,20 +381,23 @@ def inspect_data_dir(data_dir: str | Path) -> dict[str, Any]:
         "snapshot": None,
     }
     path = current_snapshot_path(data_dir)
+    snapshot_seq = 0
     if path is not None:
         state = load_snapshot(path)
+        snapshot_seq = state.wal_seq
         summary["snapshot"] = {
             "path": str(path),
             "wal_seq": state.wal_seq,
             "generation": state.generation,
             "n_users": len(state.repository),
             "configs": sorted(state.artifacts),
+            "registry": sorted(state.configurations),
         }
-        summary["replay_pending"] = sum(
-            1 for r in wal.records if r.seq > state.wal_seq
-        )
-    else:
-        summary["replay_pending"] = len(wal.records)
+    pending = [r for r in wal.records if r.seq > snapshot_seq]
+    summary["replay_pending"] = len(pending)
+    summary["replay_pending_by_kind"] = dict(
+        Counter(str(r.payload.get("kind")) for r in pending)
+    )
     stores = [
         inspect_triple_store(store_dir)
         for store_dir in find_triple_stores(data_dir)

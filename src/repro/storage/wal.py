@@ -36,6 +36,7 @@ import os
 import struct
 import threading
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -81,55 +82,77 @@ def _encode(seq: int, payload: dict[str, Any]) -> bytes:
     return _HEADER.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
+def _decode_records(
+    data: bytes, base: int, after_seq: int, path: Path
+) -> Iterator[WalRecord]:
+    """Yield the intact records of ``data`` (file offset ``base``).
+
+    The first short, implausible, CRC-failing or undecodable record ends
+    the iteration: a torn or in-flight tail.  A sequence number not
+    above its predecessor's (``after_seq`` for the first) is a real
+    corruption of the writer protocol and raises :class:`StorageError`.
+    """
+    offset = 0
+    last_seq = after_seq
+    while offset + _HEADER.size <= len(data):
+        length, crc = _HEADER.unpack_from(data, offset)
+        start = offset + _HEADER.size
+        if length > MAX_RECORD_BYTES or start + length > len(data):
+            return
+        body = data[start:start + length]
+        if zlib.crc32(body) & 0xFFFFFFFF != crc:
+            return
+        try:
+            payload = json.loads(body.decode())
+            seq = int(payload.pop("seq"))
+        except (ValueError, KeyError, UnicodeDecodeError):
+            return
+        if seq <= last_seq:
+            raise StorageError(
+                f"WAL {path} sequence regression at offset "
+                f"{base + offset}: {seq} after {last_seq}"
+            )
+        yield WalRecord(
+            seq=seq,
+            payload=payload,
+            offset=base + offset,
+            length=_HEADER.size + length,
+        )
+        last_seq = seq
+        offset = start + length
+
+
 def scan_wal(path: str | Path) -> WalScan:
     """Scan a WAL file, returning every intact record and the torn tail.
 
-    The scan never raises on damage: a short header, short payload,
-    implausible length or CRC mismatch ends the scan at that offset and
-    everything from there on is reported as ``torn_bytes``.  Sequence
-    regressions *within the intact prefix*, however, are a real
-    corruption of the writer protocol and raise :class:`StorageError`.
+    The scan never raises on damage: everything from the first damaged
+    record on is reported as ``torn_bytes``.  Sequence regressions
+    *within the intact prefix*, however, raise :class:`StorageError`.
     """
     path = Path(path)
     if not path.exists():
         return WalScan(records=(), valid_bytes=0, torn_bytes=0)
     data = path.read_bytes()
-    records: list[WalRecord] = []
-    offset = 0
-    last_seq = 0
-    while offset + _HEADER.size <= len(data):
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        if length > MAX_RECORD_BYTES or start + length > len(data):
-            break  # torn tail: short or implausible payload
-        body = data[start:start + length]
-        if zlib.crc32(body) & 0xFFFFFFFF != crc:
-            break  # torn tail: checksum mismatch
-        try:
-            payload = json.loads(body.decode())
-            seq = int(payload.pop("seq"))
-        except (ValueError, KeyError, UnicodeDecodeError):
-            break  # checksummed but undecodable: treat as tail damage
-        if seq <= last_seq:
-            raise StorageError(
-                f"WAL {path} sequence regression at offset {offset}: "
-                f"{seq} after {last_seq}"
-            )
-        records.append(
-            WalRecord(
-                seq=seq,
-                payload=payload,
-                offset=offset,
-                length=_HEADER.size + length,
-            )
-        )
-        last_seq = seq
-        offset = start + length
+    records = tuple(_decode_records(data, 0, 0, path))
+    valid = records[-1].offset + records[-1].length if records else 0
     return WalScan(
-        records=tuple(records),
-        valid_bytes=offset,
-        torn_bytes=len(data) - offset,
+        records=records, valid_bytes=valid, torn_bytes=len(data) - valid
     )
+
+
+def tail_window(
+    records: tuple[WalRecord, ...] | list[WalRecord],
+    from_seq: int,
+    last_seq: int,
+) -> tuple[tuple[WalRecord, ...], int, bool]:
+    """``(records, last_seq, resync)`` for a read past ``from_seq``;
+    ``resync`` when the records do not continue ``from_seq`` (dropped by
+    compaction, a reset or overflow, or the reader is ahead of the log).
+    """
+    first = records[0].seq if records else last_seq + 1
+    if first != from_seq + 1:
+        return (), last_seq, True
+    return tuple(records), last_seq, False
 
 
 class WriteAheadLog:
@@ -308,12 +331,12 @@ class WriteAheadLog:
         newest sequence number known.
 
         Reads the on-disk file independently of the writer handle, so a
-        follower can tail the log while appends are in flight (an
-        append's bytes appear atomically at the tail; a half-flushed
-        record parses as torn and is simply picked up by the next
-        poll).  Sequential pollers are O(new bytes): the scan resumes
-        from the record boundary the previous call ended at whenever
-        that boundary is at or before ``from_seq``.
+        reader can tail the log while appends are in flight (an append's
+        bytes appear atomically at the tail; a half-flushed record
+        parses as torn and is simply picked up by the next poll).
+        Sequential pollers read O(new bytes): the read seeks to the
+        record boundary the previous call ended at whenever that
+        boundary is at or before ``from_seq``.
         """
         with self._lock:
             hint_seq, hint_offset = self._read_hint
@@ -322,42 +345,19 @@ class WriteAheadLog:
             (hint_seq, hint_offset) if hint_seq <= from_seq else (0, 0)
         )
         try:
-            data = self.path.read_bytes()
+            with open(self.path, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
         except OSError:
             return (), known_last
         records: list[WalRecord] = []
-        last_seq = start_seq
-        boundary = (last_seq, offset)
-        while offset + _HEADER.size <= len(data) and len(records) < limit:
-            length, crc = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            if length > MAX_RECORD_BYTES or start + length > len(data):
-                break  # torn/in-flight tail: re-read next poll
-            body = data[start:start + length]
-            if zlib.crc32(body) & 0xFFFFFFFF != crc:
-                break
-            try:
-                payload = json.loads(body.decode())
-                seq = int(payload.pop("seq"))
-            except (ValueError, KeyError, UnicodeDecodeError):
-                break
-            if seq <= last_seq:
-                raise StorageError(
-                    f"WAL {self.path} sequence regression at offset "
-                    f"{offset}: {seq} after {last_seq}"
-                )
-            offset = start + length
-            last_seq = seq
-            boundary = (seq, offset)
-            if seq > from_seq:
-                records.append(
-                    WalRecord(
-                        seq=seq,
-                        payload=payload,
-                        offset=offset - _HEADER.size - length,
-                        length=_HEADER.size + length,
-                    )
-                )
+        boundary = (start_seq, offset)
+        for record in _decode_records(data, offset, start_seq, self.path):
+            boundary = (record.seq, record.offset + record.length)
+            if record.seq > from_seq:
+                records.append(record)
+                if len(records) == limit:
+                    break
         with self._lock:
             # Only advance the hint: truncation resets it under the same
             # lock, and a stale racing reader must not resurrect it.
@@ -366,4 +366,38 @@ class WriteAheadLog:
             ):
                 self._read_hint = boundary
             known_last = self._last_seq
-        return tuple(records), max(known_last, last_seq)
+        return tuple(records), max(known_last, boundary[0])
+
+
+class MemoryLog:
+    """The change log of a store-less pool writer: bounded, in memory,
+    with the WAL's records and the store's ``records_since`` API.
+    Records evicted past ``capacity`` read as ``resync``, the signal a
+    compacted WAL gives."""
+
+    def __init__(self, capacity: int = 1024) -> None:
+        self._records: deque[WalRecord] = deque(maxlen=capacity)
+        self._lock = threading.Lock()
+        self.last_seq = 0
+        #: Wholesale replacements so far; sequence numbers survive them.
+        self.reset_epoch = 0
+
+    def append(self, payload: dict[str, Any]) -> int:
+        with self._lock:
+            self.last_seq += 1
+            self._records.append(
+                WalRecord(self.last_seq, payload, offset=0, length=0)
+            )
+            return self.last_seq
+
+    def reset(self) -> None:
+        with self._lock:
+            self._records.clear()
+            self.reset_epoch += 1
+
+    def records_since(
+        self, from_seq: int, limit: int = 512
+    ) -> tuple[tuple[WalRecord, ...], int, bool]:
+        with self._lock:
+            records = [r for r in self._records if r.seq > from_seq]
+            return tail_window(records[:limit], from_seq, self.last_seq)

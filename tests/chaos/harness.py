@@ -1,7 +1,8 @@
 """Crash-recovery harness for the durable tier.
 
 The harness drives a fixed *workload* — a sequence of store operations
-(initialize, delta appends, snapshots, compaction, epoch reset) — through
+(initialize, delta appends, configuration puts, snapshots, compaction,
+epoch reset) — through
 :class:`~repro.storage.CrashFS`, the fault-injecting filesystem shim.
 One fault-free run enumerates every state-changing syscall the workload
 performs; the property test then replays the workload once per syscall
@@ -14,13 +15,14 @@ Correctness oracle
 ------------------
 Crashes are only allowed two outcomes per in-flight operation: it never
 happened, or it fully happened.  So after a crash with ``k`` workload
-steps acknowledged, the recovered repository must equal the oracle state
-after step ``k`` (in-flight op lost) or after step ``k+1`` (in-flight op
-committed before the crash point) — anything else means an acked delta
-was lost, a torn write leaked, or a half-applied epoch swap surfaced.
-On top of repository equality, the harness asserts ``/select`` parity:
-a service booted from the recovered store must answer exactly like a
-never-crashed service holding the matching oracle repository.
+steps acknowledged, the recovered repository *and* configuration
+registry must equal the oracle state after step ``k`` (in-flight op
+lost) or after step ``k+1`` (in-flight op committed before the crash
+point) — anything else means an acked delta or configuration was lost,
+a torn write leaked, or a half-applied epoch swap surfaced.  On top of
+that equality, the harness asserts ``/select`` parity on every
+configuration: a service booted from the recovered store must answer
+exactly like a never-crashed service holding the matching oracle state.
 """
 
 from __future__ import annotations
@@ -30,18 +32,20 @@ from pathlib import Path
 from repro.core.profiles import UserProfile, UserRepository
 from repro.core.updates import ProfileDelta, apply_delta_to_repository
 from repro.datasets.synth import generate_profile_repository
+from repro.service import DiversificationConfiguration
 from repro.service.app import PodiumService
 from repro.storage import (
     CrashFS,
     DurableRepositoryStore,
     FaultPlan,
     SimulatedCrash,
+    config_record,
 )
 
 BUDGET = 3
 
 #: Step kinds the workload runner understands.
-_KINDS = ("init", "delta", "snapshot", "compact", "reset")
+_KINDS = ("init", "delta", "config", "snapshot", "compact", "reset")
 
 
 def base_repository(seed: int = 29) -> UserRepository:
@@ -64,24 +68,37 @@ def make_delta(n: int) -> ProfileDelta:
     )
 
 
+def make_config(name: str, **fields) -> dict:
+    """A configuration put's record body (its ``to_dict``)."""
+    return DiversificationConfiguration(
+        name=name, budget=BUDGET, weight_scheme="Iden", **fields
+    ).to_dict()
+
+
 def default_workload() -> list[tuple]:
     """The canonical chaos workload: every mutation the store offers.
 
-    Covers append (WAL write + fsync), snapshot (staged files, pointer
-    flip, pruning), re-snapshot at an unchanged sequence (the ``.N``
-    suffix path), compaction (snapshot + WAL truncate) and an epoch
-    reset (snapshot-then-truncate ordering) with appends after each.
+    Covers append (WAL write + fsync) of both record kinds, snapshot
+    (staged files, pointer flip, pruning), re-snapshot at an unchanged
+    sequence (the ``.N`` suffix path), compaction (snapshot + WAL
+    truncate) and an epoch reset (snapshot-then-truncate ordering) with
+    appends after each.  Configuration puts land before a snapshot,
+    between the compaction and the reset, and after the reset (a re-put
+    replacing an earlier definition).
     """
     return [
         ("init", base_repository()),
         ("delta", make_delta(0)),
+        ("config", make_config("early")),
         ("delta", make_delta(1)),
         ("snapshot",),
         ("snapshot",),  # same seq: exercises the .N re-snapshot path
         ("delta", make_delta(2)),
         ("compact",),
+        ("config", make_config("mid", coverage_scheme="Prop")),
         ("delta", make_delta(3)),
         ("reset", base_repository(seed=31)),
+        ("config", make_config("early", buckets_per_property=2)),
         ("delta", make_delta(4)),
     ]
 
@@ -102,12 +119,28 @@ def oracle_states(steps: list[tuple]) -> list[UserRepository]:
     return states
 
 
+def oracle_registries(steps: list[tuple]) -> list[dict]:
+    """Configuration registry after each workload prefix (name -> dict).
+
+    A reset replaces the population, not the registry.
+    """
+    registry: dict = {}
+    registries = [registry]
+    for step in steps:
+        if step[0] == "config":
+            registry = {**registry, step[1]["name"]: step[1]}
+        registries.append(registry)
+    return registries
+
+
 def _execute(store: DurableRepositoryStore, step: tuple) -> None:
     kind = step[0]
     if kind == "init":
         store.initialize(step[1])
     elif kind == "delta":
         store.append_delta(step[1])
+    elif kind == "config":
+        store.append(config_record(step[1]))
     elif kind == "snapshot":
         store.snapshot()
     elif kind == "compact":
@@ -165,8 +198,9 @@ def run_with_crash(
     return completed, fs
 
 
-def select_response(source) -> dict | None:
-    """``/select`` document for a store or a bare repository.
+def select_response(source, registry: dict | None = None) -> dict | None:
+    """``/select`` documents by configuration for a store or a bare
+    repository (with ``registry``'s configurations put on it).
 
     ``None`` when the source holds no users (a crash before the first
     initialize completes legitimately recovers an empty store).
@@ -180,7 +214,14 @@ def select_response(source) -> dict | None:
         if not len(source):
             return None
         service = PodiumService(repository=source)
-    return service.select("default", budget=BUDGET, explain=False)
+        for config in (registry or {}).values():
+            service.put_configuration(
+                DiversificationConfiguration.from_dict(config)
+            )
+    return {
+        name: service.select(name, budget=BUDGET, explain=False)
+        for name in service.configurations.names()
+    }
 
 
 def same_repository(a: UserRepository, b: UserRepository) -> bool:
@@ -203,23 +244,32 @@ def verify_crash_point(
         tmp_path, steps, crash_at, rng=rng, worst_case=worst_case
     )
     states = oracle_states(steps)
-    admissible = [states[completed]]
+    registries = oracle_registries(steps)
+    admissible = [completed]
     if completed + 1 < len(states):
-        admissible.append(states[completed + 1])
+        admissible.append(completed + 1)
 
     recovered = DurableRepositoryStore(tmp_path, fsync=False)
     try:
         matches = [
-            s for s in admissible if same_repository(recovered.repository, s)
+            k
+            for k in admissible
+            if same_repository(recovered.repository, states[k])
+            and recovered.configurations == registries[k]
         ]
         assert matches, (
             f"crash at op {crash_at} (after {completed} acked steps): "
-            f"recovered {len(recovered.repository)} users matching no "
-            f"admissible state "
-            f"(admissible sizes: {[len(s) for s in admissible]})"
+            f"recovered {len(recovered.repository)} users and registry "
+            f"{sorted(recovered.configurations)} matching no admissible "
+            f"state (admissible sizes: "
+            f"{[len(states[k]) for k in admissible]}, registries: "
+            f"{[sorted(registries[k]) for k in admissible]})"
         )
         # /select parity with a never-crashed instance on the same state.
-        assert select_response(recovered) == select_response(matches[0]), (
+        k = matches[0]
+        assert select_response(recovered) == select_response(
+            states[k], registries[k]
+        ), (
             f"crash at op {crash_at}: recovered store answers /select "
             f"differently from a never-crashed instance"
         )

@@ -23,13 +23,13 @@ from repro.service import (
     ReadWriteLock,
 )
 from repro.service.workers import (
-    ChangeLog,
     ControlServer,
     SharedPoolState,
     WorkerRuntime,
     WriteCoordinator,
     unix_rpc,
 )
+from repro.storage import MemoryLog
 
 
 def make_writer(capacity=1024):
@@ -38,7 +38,7 @@ def make_writer(capacity=1024):
         DiversificationConfiguration(name="two", budget=2)
     )
     shared = SharedPoolState(2)
-    changelog = ChangeLog(capacity=capacity)
+    changelog = MemoryLog(capacity=capacity)
     coordinator = WriteCoordinator(service, shared, changelog, False)
     return service, shared, changelog, coordinator
 
@@ -149,8 +149,8 @@ class TestInvalidationThreaded:
                 service.select(name, explain=False)
         for i in range(6):  # far beyond the 2-entry ring
             coordinator.handle_write("POST", "/profiles/delta", delta_body(i))
-        reply = coordinator.handle_sync(runtime.epoch, runtime.version)
-        assert reply["mode"] == "full"
+        reply = coordinator.handle({"op": "wal", "from_seq": runtime.version})
+        assert reply["resync"]
         runtime.ensure_fresh()
         assert len(follower.repository) == len(writer.repository)
         assert runtime.version == int(shared.version.value)

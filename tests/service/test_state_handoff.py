@@ -26,12 +26,11 @@ from repro.service import (
     make_http_server,
 )
 from repro.service.workers import (
-    ChangeLog,
     SharedPoolState,
     WorkerRuntime,
     WriteCoordinator,
 )
-from repro.storage import DurableRepositoryStore
+from repro.storage import DurableRepositoryStore, MemoryLog
 
 BUDGETS = (8, 16)
 CONFIGS = (DiversificationConfiguration(name="c", weight_scheme="Iden"),)
@@ -127,7 +126,7 @@ def test_pool_full_resync_after_ring_overflow():
     _warm(writer)
     shared = SharedPoolState(1)
     coordinator = WriteCoordinator(
-        writer, shared, ChangeLog(capacity=2), False
+        writer, shared, MemoryLog(capacity=2), False
     )
     worker = _service(_repo())  # the forked clone of the pre-delta writer
     _warm(worker)
@@ -141,7 +140,7 @@ def test_pool_full_resync_after_ring_overflow():
             json.dumps(profile_delta_to_dict(delta)).encode(),
         )
         assert status == 200
-    assert coordinator.handle_sync(0, 0)["mode"] == "full"
+    assert coordinator.handle({"op": "wal", "from_seq": 0})["resync"]
     assert runtime.ensure_fresh()
     assert _selections(worker) == _selections(writer)
 
