@@ -21,13 +21,18 @@ layer makes:
   restarted from its own ``--data-dir`` and still holds the full
   population, and still lists and serves the replicated configuration.
 
+With ``--primary-workers N`` the primary is a pre-fork pool of ``N``
+workers: its workers forward the log routes to the writer, so the
+follower (always single-process) tails the pool as it tails one process.
+
 Run from the repository root::
 
-    PYTHONPATH=src python scripts/replication_smoke.py
+    PYTHONPATH=src python scripts/replication_smoke.py [--primary-workers N]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -135,6 +140,14 @@ def wait_for_lag_zero(port, want_seq, timeout=30):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--primary-workers",
+        type=int,
+        default=1,
+        help="boot the primary with --workers N (default 1)",
+    )
+    primary_workers = parser.parse_args().primary_workers
     sys.path.insert(0, SRC)
     from repro.datasets import example_repository
     from repro.datasets.io import save_profiles
@@ -148,7 +161,8 @@ def main() -> None:
 
         primary, pport = boot(
             ["--profiles", profiles, "--budget", "2",
-             "--data-dir", primary_dir],
+             "--data-dir", primary_dir,
+             "--workers", str(primary_workers)],
             env,
         )
         follower = None

@@ -71,6 +71,7 @@ A profile delta body::
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import threading
@@ -79,6 +80,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from socketserver import ThreadingMixIn
 from typing import Any, Callable
+from urllib.parse import parse_qsl
 from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from ..constraints import (
@@ -1264,7 +1266,7 @@ class PodiumService:
 
 
 # ---------------------------------------------------------------------------
-# WSGI adapter
+# HTTP boundary
 # ---------------------------------------------------------------------------
 
 _JSON = "application/json"
@@ -1281,36 +1283,21 @@ _STATUS_LINES = {
 
 
 def _content_length(environ: dict[str, Any]) -> int:
-    """The request's declared body length; negative lengths are a 400.
-
-    ``wsgi.input.read(-1)`` reads to EOF, so honoring a negative length
-    would hold the handler thread until the client closes its socket.
-    """
+    """The request's declared body length (0 when absent or unparsable)."""
     try:
-        length = int(environ.get("CONTENT_LENGTH") or 0)
+        return int(environ.get("CONTENT_LENGTH") or 0)
     except ValueError:
         return 0
-    if length < 0:
-        raise ServiceError(f"invalid Content-Length: {length}")
-    return length
 
 
-def _read_json(environ: dict[str, Any]) -> dict[str, Any]:
-    length = _content_length(environ)
-    raw = environ["wsgi.input"].read(length) if length else b"{}"
+def _read_json(body: bytes) -> dict[str, Any]:
     try:
-        document = json.loads(raw.decode() or "{}")
+        document = json.loads(body.decode() or "{}")
     except json.JSONDecodeError as exc:
         raise ServiceError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ServiceError("request body must be a JSON object")
     return document
-
-
-def _query(environ: dict[str, Any]) -> dict[str, str]:
-    from urllib.parse import parse_qsl
-
-    return dict(parse_qsl(environ.get("QUERY_STRING", "")))
 
 
 def _int_field(value: Any, name: str) -> int:
@@ -1329,7 +1316,7 @@ def _int_field(value: Any, name: str) -> int:
 #: admin durability ops (snapshot/compact) stay allowed: they persist
 #: the follower's own replicated state without diverging from the
 #: primary's history.
-_WRITE_ROUTES = frozenset(
+WRITE_ROUTES = frozenset(
     {
         ("POST", "/profiles"),
         ("POST", "/profiles/delta"),
@@ -1342,11 +1329,12 @@ def _dispatch(
     service: PodiumService,
     method: str,
     path: str,
-    environ: dict[str, Any],
+    query: dict[str, Any],
+    body: bytes,
     timer: StageTimer,
-) -> tuple[int, Any, str]:
-    """Resolve one request to ``(status, payload, content_type)``."""
-    if service.read_only and (method, path) in _WRITE_ROUTES:
+) -> tuple[int, Any]:
+    """Resolve one request to ``(status, payload)``."""
+    if service.read_only and (method, path) in WRITE_ROUTES:
         return (
             503,
             {
@@ -1354,53 +1342,42 @@ def _dispatch(
                 "WAL; write to the primary, or POST /admin/promote to "
                 "take over"
             },
-            _JSON,
         )
     if method == "GET" and path == "/health":
-        return 200, {"status": "ok", **service.stats()}, _JSON
+        return 200, {"status": "ok", **service.stats()}
     if method == "GET" and path == "/metrics":
-        return 200, service.metrics_snapshot(), _JSON
+        return 200, service.metrics_snapshot()
     if method == "GET" and path == "/configurations":
-        return (
-            200,
-            [
-                service.configurations.get(name).to_dict()
-                for name in service.configurations.names()
-            ],
-            _JSON,
-        )
+        return 200, [
+            service.configurations.get(name).to_dict()
+            for name in service.configurations.names()
+        ]
     if method == "POST" and path == "/configurations":
-        config = DiversificationConfiguration.from_dict(_read_json(environ))
+        config = DiversificationConfiguration.from_dict(_read_json(body))
         service.put_configuration(config)
-        return 201, config.to_dict(), _JSON
+        return 201, config.to_dict()
     if method == "POST" and path == "/profiles":
         from ..datasets.io import profiles_from_dict
 
-        service.load_repository(profiles_from_dict(_read_json(environ)))
-        return 200, {"loaded_users": len(service.repository)}, _JSON
+        service.load_repository(profiles_from_dict(_read_json(body)))
+        return 200, {"loaded_users": len(service.repository)}
     if method == "POST" and path == "/profiles/delta":
-        delta = parse_profile_delta(_read_json(environ))
-        return 200, service.apply_profile_delta(delta), _JSON
+        delta = parse_profile_delta(_read_json(body))
+        return 200, service.apply_profile_delta(delta)
     if method == "POST" and path == "/admin/snapshot":
-        return 200, service.snapshot_store(), _JSON
+        return 200, service.snapshot_store()
     if method == "POST" and path == "/admin/compact":
-        return 200, service.compact_store(), _JSON
+        return 200, service.compact_store()
     if method == "GET" and path == "/admin/wal":
-        query = _query(environ)
-        return (
-            200,
-            service.wal_records_since(
-                _int_field(query.get("from_seq", 0), "from_seq"),
-                _int_field(query.get("limit", 256), "limit"),
-            ),
-            _JSON,
+        return 200, service.wal_records_since(
+            _int_field(query.get("from_seq", 0), "from_seq"),
+            _int_field(query.get("limit", 256), "limit"),
         )
     if method == "GET" and path == "/admin/state":
-        return 200, service.replication_snapshot(), _JSON
+        return 200, service.replication_snapshot()
     if method == "POST" and path == "/admin/promote":
-        return 200, service.promote(), _JSON
+        return 200, service.promote()
     if method == "GET" and path == "/explain.html":
-        query = _query(environ)
         html = service.explanation_page(
             query.get("configuration", "default"),
             (
@@ -1410,89 +1387,115 @@ def _dispatch(
             ),
             timer=timer,
         )
-        return 200, html.encode(), _HTML
+        return 200, html.encode()
     if method == "GET" and path == "/groups":
-        name = _query(environ).get("configuration", "default")
-        return 200, service.group_listing(name, timer=timer), _JSON
+        name = query.get("configuration", "default")
+        return 200, service.group_listing(name, timer=timer)
     if method == "POST" and path == "/select":
-        body = _read_json(environ)
+        document = _read_json(body)
         response = service.select(
-            config_name=str(body.get("configuration", "default")),
+            config_name=str(document.get("configuration", "default")),
             budget=(
-                _int_field(body["budget"], "budget")
-                if "budget" in body
+                _int_field(document["budget"], "budget")
+                if "budget" in document
                 else None
             ),
-            feedback=parse_feedback(body.get("feedback")),
+            feedback=parse_feedback(document.get("feedback")),
             distribution_properties=tuple(
-                str(p) for p in body.get("distribution_properties", ())
+                str(p) for p in document.get("distribution_properties", ())
             ),
-            explain=bool(body.get("explain", True)),
+            explain=bool(document.get("explain", True)),
             timer=timer,
-            maintained=bool(body.get("maintained", False)),
-            constraints=parse_constraints(body.get("constraints")),
+            maintained=bool(document.get("maintained", False)),
+            constraints=parse_constraints(document.get("constraints")),
         )
-        return 200, response, _JSON
-    return 404, {"error": f"no route {method} {path}"}, _JSON
+        return 200, response
+    return 404, {"error": f"no route {method} {path}"}
 
 
-def make_wsgi_app(service: PodiumService) -> Callable:
+def handle_request(
+    service: PodiumService,
+    method: str,
+    path: str,
+    query: dict[str, Any],
+    body: bytes,
+    timer: StageTimer,
+) -> tuple[int, Any]:
+    """Answer one parsed request as ``(status, payload)``; never raises.
+
+    The one request boundary of every process: the WSGI adapter calls
+    it for a single-process server and for a pool worker's reads, and a
+    pool's writer calls it for every request a worker forwards.  Domain
+    errors and malformed input are a JSON 400; anything else is logged
+    and becomes a JSON 500 that names only the exception type.  A
+    ``bytes`` payload is the HTML explanation page.
+    """
+    try:
+        return _dispatch(service, method, path, query, body, timer)
+    except PodiumError as exc:
+        return 400, {"error": str(exc)}
+    except (KeyError, TypeError, ValueError) as exc:
+        # Malformed input that slipped past explicit validation.
+        return 400, {"error": f"malformed request: {exc}"}
+    except Exception as exc:  # noqa: BLE001 — the JSON-500 boundary
+        logger.exception("unhandled error serving %s %s", method, path)
+        return 500, {"error": f"internal server error: {type(exc).__name__}"}
+
+
+def make_wsgi_app(
+    service: PodiumService, handler: Callable | None = None
+) -> Callable:
     """Build the WSGI callable exposing ``service`` over HTTP.
 
-    Every response — including malformed input (400) and unexpected
-    failures (500) — is JSON; a raw interpreter traceback never reaches
-    the client.  Each request is timed, counted in ``service.metrics``
-    and logged as a one-line JSON document.
+    The one WSGI adapter: it parses ``environ`` into ``(method, path,
+    query, body)``, has ``handler`` answer it — :func:`handle_request`
+    on ``service`` unless a pool worker passes its own, with the same
+    signature minus ``service`` — then counts the request in
+    ``service.metrics``, logs it as a one-line JSON document and
+    encodes the response.  A raw interpreter traceback never reaches
+    the client.
     """
+    if handler is None:
+        handler = functools.partial(handle_request, service)
 
     def app(environ: dict[str, Any], start_response: Callable) -> list[bytes]:
         method = environ.get("REQUEST_METHOD", "GET")
         path = environ.get("PATH_INFO", "/")
         timer = StageTimer()
         started = time.perf_counter()
-        error: str | None = None
-        matched = True
-        try:
-            status, payload, content_type = _dispatch(
-                service, method, path, environ, timer
-            )
-            matched = status != 404
-        except PodiumError as exc:
-            status, payload, content_type = 400, {"error": str(exc)}, _JSON
-            error = str(exc)
-        except (KeyError, TypeError, ValueError) as exc:
-            # Malformed input that slipped past explicit validation.
-            status, content_type = 400, _JSON
-            payload = {"error": f"malformed request: {exc}"}
-            error = str(exc)
-        except Exception as exc:  # noqa: BLE001 — the JSON-500 boundary
-            logger.exception("unhandled error serving %s %s", method, path)
-            status, content_type = 500, _JSON
-            payload = {
-                "error": f"internal server error: {type(exc).__name__}"
-            }
-            error = f"{type(exc).__name__}: {exc}"
+        length = _content_length(environ)
+        if length < 0:
+            # ``wsgi.input.read(-1)`` reads to EOF: honoring a negative
+            # length would hold the thread until the client hangs up.
+            status = 400
+            payload: Any = {"error": f"invalid Content-Length: {length}"}
+        else:
+            body = environ["wsgi.input"].read(length) if length else b""
+            query = dict(parse_qsl(environ.get("QUERY_STRING", "")))
+            status, payload = handler(method, path, query, body, timer)
         seconds = time.perf_counter() - started
         # Unmatched paths share one metrics bucket so arbitrary probes
         # cannot grow the counter map without bound.
-        route = f"{method} {path}" if matched else "<unmatched>"
+        route = f"{method} {path}" if status != 404 else "<unmatched>"
         service.metrics.observe_request(route, status, seconds, timer.seconds)
+        error = payload.get("error") if status >= 400 else None
         logger.info(
             request_log_record(
                 f"{method} {path}", status, seconds, timer.seconds, error
             )
         )
-        body = payload if isinstance(payload, bytes) else (
-            json.dumps(payload).encode()
-        )
+        if isinstance(payload, bytes):
+            content_type, blob = _HTML, payload
+        else:
+            content_type, blob = _JSON, json.dumps(payload).encode()
         start_response(
             _STATUS_LINES[status],
             [
                 ("Content-Type", content_type),
-                ("Content-Length", str(len(body))),
+                ("Content-Length", str(len(blob))),
             ],
         )
-        return [body]
+        return [blob]
 
     return app
 
@@ -1503,7 +1506,7 @@ class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
     daemon_threads = True
 
 
-class _QuietHandler(WSGIRequestHandler):
+class QuietHandler(WSGIRequestHandler):
     """Route wsgiref's per-request stderr lines through ``logging``."""
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -1519,7 +1522,7 @@ def make_http_server(
         port,
         make_wsgi_app(service),
         server_class=ThreadingWSGIServer,
-        handler_class=_QuietHandler,
+        handler_class=QuietHandler,
     )
 
 

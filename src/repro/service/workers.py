@@ -18,7 +18,7 @@ Topology
     ├─ WriteCoordinator                      ├─ PooledWSGIServer
     │   applies writes, publishes counters   │   SO_REUSEPORT socket
     ├─ ControlServer (unix socket) ◄────────►├─ WorkerRuntime
-    │   ops: write / wal / state / cluster   │   forwards writes, tails log
+    │   ops: request / cluster               │   forwards writes, tails log
     └─ SharedPoolState (shm counters)        └─ _SharedSlotMetrics
 
 **Reads** (``/select``, ``/groups``, ``/health``, ...) are answered
@@ -28,20 +28,24 @@ unavailable (or ``REPRO_NO_REUSEPORT=1``), the workers share one
 inherited listening socket and compete on ``accept``.
 
 **Writes** (``POST /profiles``, ``/profiles/delta``, ``/configurations``,
-``/admin/snapshot``, ``/admin/compact``) are forwarded over a unix
-control socket to the single writer — the parent — which applies them
-through exactly the single-process code path
-(:func:`repro.service.app._dispatch`).  A delta or configuration put is a
-change-log record: WAL-appended before it is applied with a store, put
-in a bounded :class:`~repro.storage.MemoryLog` (same records, same
-reader API) without one.  The client's 200 means the delta is fsynced,
-as in single-process serving.
+``/admin/snapshot``, ``/admin/compact``) and the two log reads
+(``GET /admin/wal``, ``GET /admin/state``: the writer holds the log)
+are forwarded over a unix control socket to the single writer — the
+parent — whose ``request`` op answers them through
+:func:`~repro.service.app.handle_request`, the boundary a single-process
+server runs.  A delta or configuration put is a change-log record:
+WAL-appended before it is applied with a store, put in a bounded
+:class:`~repro.storage.MemoryLog` (same records, same reader API)
+without one.  The client's 200 means the delta is fsynced, as in
+single-process serving; a writer-side failure is the same JSON 500 a
+single process answers, and a 503 means only that the writer could
+not be reached.
 
 **Invalidation** is a per-request compare of two integers: the shared
 ``(epoch, version)`` pair mirrors the log's ``(reset_epoch, last_seq)``.
 A worker behind it tails the writer's log as a replication follower
-tails a primary — reading over the control socket the documents
-``GET /admin/wal`` and ``GET /admin/state`` serve — through the shared
+tails a primary — sending ``GET /admin/wal`` and ``GET /admin/state``
+through the same ``request`` op — through the shared
 :func:`~repro.service.replication.apply_log_tail`: each record goes
 through :meth:`~repro.service.app.PodiumService.apply_record`, the path
 the writer took, so every process converges to byte-identical serving
@@ -61,7 +65,6 @@ snapshot.
 from __future__ import annotations
 
 import ctypes
-import io
 import json
 import logging
 import os
@@ -78,16 +81,12 @@ from socketserver import ThreadingMixIn
 from typing import Any, Callable
 from wsgiref.simple_server import WSGIServer
 
-from ..core.errors import PodiumError, ServiceError
 from ..storage import MemoryLog, snapshot_state_from_dict
 from .app import (
-    _JSON,
-    _QuietHandler,
-    _STATUS_LINES,
-    _WRITE_ROUTES,
+    WRITE_ROUTES,
     PodiumService,
-    _content_length,
-    _dispatch,
+    QuietHandler,
+    handle_request,
     make_wsgi_app,
 )
 from .metrics import (
@@ -95,17 +94,19 @@ from .metrics import (
     ServiceMetrics,
     StageTimer,
     aggregate_worker_rows,
-    request_log_record,
 )
 from .replication import apply_log_tail
 
 logger = logging.getLogger("repro.service.workers")
 
-#: Mutating routes a worker must not answer itself: single-writer
-#: replication routes them to the parent over the control socket.
-FORWARDED_ROUTES = _WRITE_ROUTES | {
+#: Routes a worker must not answer itself: single-writer replication
+#: routes mutations to the parent over the control socket, and the
+#: parent is the process that holds the change log.
+FORWARDED_ROUTES = WRITE_ROUTES | {
     ("POST", "/admin/snapshot"),
     ("POST", "/admin/compact"),
+    ("GET", "/admin/wal"),
+    ("GET", "/admin/state"),
 }
 
 _FRAME_HEADER = struct.Struct(">I")
@@ -222,11 +223,12 @@ def _recv_exact(
 class WriteCoordinator:
     """Serializes every pool mutation through the parent's service.
 
-    ``handle_write`` replays a forwarded HTTP write through the *same*
-    route dispatch the single-process server uses — identical
-    validation, durability and response bodies — then publishes the
-    change log's position (``memory_log`` without a store) to the shared
-    counters, all under one mutex.
+    :meth:`request` answers a forwarded request through the *same*
+    :func:`~repro.service.app.handle_request` the single-process server
+    runs — identical validation, durability, errors and response
+    bodies.  A POST runs under one mutex that also publishes the change
+    log's position (``memory_log`` without a store) to the shared
+    counters.
     """
 
     def __init__(
@@ -247,20 +249,14 @@ class WriteCoordinator:
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
         op = request.get("op")
         try:
-            if op == "write":
-                status, payload = self.handle_write(
-                    str(request.get("method", "POST")),
+            if op == "request":
+                status, payload = self.request(
+                    str(request.get("method", "GET")),
                     str(request.get("path", "")),
-                    str(request.get("body", "")).encode(),
+                    str(request.get("body", "")).encode("latin-1"),
+                    dict(request.get("query") or {}),
                 )
                 return {"status": status, "payload": payload}
-            if op == "wal":
-                return self.service.wal_records_since(
-                    int(request.get("from_seq", 0)),
-                    int(request.get("limit", 256)),
-                )
-            if op == "state":
-                return self.service.replication_snapshot()
             if op == "cluster":
                 return self.cluster_document()
         except Exception as exc:  # noqa: BLE001 — keep the channel alive
@@ -268,29 +264,21 @@ class WriteCoordinator:
             return {"error": f"{type(exc).__name__}: {exc}"}
         return {"error": f"unknown control op {op!r}"}
 
-    def handle_write(
-        self, method: str, path: str, body: bytes
+    def request(
+        self,
+        method: str,
+        path: str,
+        body: bytes = b"",
+        query: dict[str, Any] | None = None,
     ) -> tuple[int, Any]:
-        if (method, path) not in FORWARDED_ROUTES:
-            return 404, {"error": f"no forwardable route {method} {path}"}
+        """Answer one forwarded request as ``(status, payload)``."""
+        args = (self.service, method, path, query or {}, body, StageTimer())
+        if method != "POST":
+            return handle_request(*args)
         with self.mutex:
-            environ = {
-                "REQUEST_METHOD": method,
-                "PATH_INFO": path,
-                "CONTENT_LENGTH": str(len(body)),
-                "wsgi.input": io.BytesIO(body),
-            }
-            try:
-                status, payload, _ = _dispatch(
-                    self.service, method, path, environ, StageTimer()
-                )
-            except PodiumError as exc:
-                return 400, {"error": str(exc)}
-            except (KeyError, TypeError, ValueError) as exc:
-                return 400, {"error": f"malformed request: {exc}"}
-            finally:
-                self._publish()
-            return status, payload
+            answer = handle_request(*args)
+            self._publish()
+        return answer
 
     def _publish(self) -> None:
         """Mirror the change log's position into the shared counters."""
@@ -455,7 +443,7 @@ class WorkerRuntime:
         with self._refresh_lock:
             if not self.is_stale():
                 return True  # another request thread caught us up
-            tail = self._call({"op": "wal", "from_seq": self.version})
+            tail = self._fetch_tail()
             self._count("syncs")
             while (
                 apply_log_tail(
@@ -470,38 +458,57 @@ class WorkerRuntime:
                 and self.is_stale()
             ):
                 # A batch is capped by the read limit: fetch the next.
-                tail = self._call({"op": "wal", "from_seq": self.version})
+                tail = self._fetch_tail()
             return True
 
-    def _call(self, request: dict[str, Any]) -> dict[str, Any]:
-        reply = self._rpc(request)
+    def _call(
+        self, method: str, path: str, query: dict[str, Any], body: bytes
+    ) -> tuple[int, Any]:
+        """Send one request to the writer's boundary (``request`` op)."""
+        reply = self._rpc(
+            {
+                "op": "request",
+                "method": method,
+                "path": path,
+                "query": query,
+                # Latin-1 maps each byte to one code point: the body
+                # crosses the JSON frame unchanged, even if not UTF-8.
+                "body": body.decode("latin-1"),
+            }
+        )
         if "error" in reply:
-            raise OSError(f"{request['op']} rejected: {reply['error']}")
-        return reply
+            raise OSError(f"{method} {path} rejected: {reply['error']}")
+        return int(reply["status"]), reply["payload"]
+
+    def _fetch(self, path: str, **query: Any) -> dict[str, Any]:
+        """``GET`` one of the writer's log documents; non-200 raises."""
+        status, payload = self._call("GET", path, query, b"")
+        if status != 200:
+            raise OSError(f"GET {path} answered {status}: {payload}")
+        return payload
+
+    def _fetch_tail(self) -> dict[str, Any]:
+        return self._fetch("/admin/wal", from_seq=self.version, limit=256)
 
     def _advance(self, seq: int) -> None:
         self.version = seq
 
     def _adopt_full(self) -> None:
         """Install the writer's whole state (epoch change or log gap)."""
-        document = self._call({"op": "state"})
+        document = self._fetch("/admin/state")
         state = snapshot_state_from_dict(document)
         self.service.install_state(state)
         self.epoch = int(document["reset_epoch"])
         self.version = state.wal_seq
 
-    def forward(self, method: str, path: str, body: bytes) -> tuple[int, Any]:
-        """Route a mutating request to the writer; returns (status, payload)."""
-        reply = self._call(
-            {
-                "op": "write",
-                "method": method,
-                "path": path,
-                "body": body.decode("utf-8", "replace"),
-            }
-        )
-        self._count("forwarded_writes")
-        return int(reply["status"]), reply["payload"]
+    def forward(
+        self, method: str, path: str, query: dict[str, Any], body: bytes
+    ) -> tuple[int, Any]:
+        """Route a client request to the writer; returns (status, payload)."""
+        answer = self._call(method, path, query, body)
+        if method == "POST":
+            self._count("forwarded_writes")
+        return answer
 
     def cluster_document(self) -> dict[str, Any]:
         reply = self._rpc({"op": "cluster"})
@@ -529,69 +536,37 @@ def unix_rpc(control_path: str, timeout: float = 60.0) -> Callable:
 
 
 def make_worker_app(service: PodiumService, runtime: WorkerRuntime) -> Callable:
-    """Wrap the standard WSGI app with forwarding + freshness checks.
+    """The standard WSGI app with forwarding + freshness checks.
 
-    Reads check the shared invalidation counters first and lazily catch
-    up; if the writer is unreachable the worker *serves stale* (counted
-    in ``sync_failures``) rather than failing reads.  Writes are
-    forwarded to the writer; if it is unreachable they fail with 503 —
-    never applied locally, so the single-writer durability contract
-    holds.
+    ``FORWARDED_ROUTES`` go to the writer; if it is unreachable they
+    fail with 503 — never applied locally, so the single-writer
+    durability contract holds.  Every other route checks the shared
+    invalidation counters first and lazily catches up; if the writer is
+    unreachable the worker *serves stale* (counted in
+    ``sync_failures``) rather than failing reads.
     """
-    inner = make_wsgi_app(service)
 
-    def app(environ: dict[str, Any], start_response: Callable) -> list[bytes]:
-        method = environ.get("REQUEST_METHOD", "GET")
-        path = environ.get("PATH_INFO", "/")
+    def handle(
+        method: str,
+        path: str,
+        query: dict[str, Any],
+        body: bytes,
+        timer: StageTimer,
+    ) -> tuple[int, Any]:
         if (method, path) in FORWARDED_ROUTES:
-            return _forward_request(
-                service, runtime, method, path, environ, start_response
-            )
+            try:
+                with timer.stage("forward"):
+                    return runtime.forward(method, path, query, body)
+            except (OSError, ValueError, KeyError) as exc:
+                return 503, {"error": f"writer unavailable: {exc}"}
         try:
             runtime.ensure_fresh()
         except (OSError, ValueError, KeyError) as exc:
             runtime.note_sync_failure()
             logger.warning("serving stale state; sync failed: %s", exc)
-        return inner(environ, start_response)
+        return handle_request(service, method, path, query, body, timer)
 
-    return app
-
-
-def _forward_request(
-    service: PodiumService,
-    runtime: WorkerRuntime,
-    method: str,
-    path: str,
-    environ: dict[str, Any],
-    start_response: Callable,
-) -> list[bytes]:
-    started = time.perf_counter()
-    error: str | None = None
-    try:
-        length = _content_length(environ)
-    except ServiceError as exc:
-        status, payload = 400, {"error": str(exc)}
-        error = str(exc)
-    else:
-        body = environ["wsgi.input"].read(length) if length else b""
-        try:
-            status, payload = runtime.forward(method, path, body)
-        except (OSError, ValueError, KeyError) as exc:
-            status = 503
-            payload = {"error": f"writer unavailable: {exc}"}
-            error = str(exc)
-    seconds = time.perf_counter() - started
-    route = f"{method} {path}"
-    service.metrics.observe_request(
-        route, status, seconds, {"forward": seconds}
-    )
-    logger.info(request_log_record(route, status, seconds, None, error))
-    blob = json.dumps(payload).encode()
-    start_response(
-        _STATUS_LINES.get(status, f"{status} Error"),
-        [("Content-Type", _JSON), ("Content-Length", str(len(blob)))],
-    )
-    return [blob]
+    return make_wsgi_app(service, handle)
 
 
 class PooledWSGIServer(ThreadingMixIn, WSGIServer):
@@ -606,7 +581,7 @@ class PooledWSGIServer(ThreadingMixIn, WSGIServer):
     block_on_close = True
 
     def __init__(
-        self, sock: socket.socket, app: Callable, handler_class=_QuietHandler
+        self, sock: socket.socket, app: Callable, handler_class=QuietHandler
     ) -> None:
         host, port = sock.getsockname()[:2]
         super().__init__(

@@ -1,0 +1,171 @@
+"""One request boundary: a pool worker answers as a single process does.
+
+Two twins are built from the same repository, each with its own durable
+store: a single-process service behind :func:`make_wsgi_app`, and an
+in-process pool — a :class:`WriteCoordinator` over the writer's service
+plus a worker clone behind :func:`make_worker_app`.  One request
+sequence goes to both, and every request must get the same status line
+and the same JSON body: reads the worker answers itself after a sync,
+writes and log reads it forwards, and every error path — malformed
+bodies (a non-UTF-8 one included), a negative ``Content-Length``, an unknown route, a rejected
+delta and an unexpected failure inside the writer.
+"""
+
+import contextlib
+import io
+import json
+from unittest import mock
+
+import pytest
+
+from repro.datasets.synth import generate_profile_repository
+from repro.service import (
+    DiversificationConfiguration,
+    PodiumService,
+    make_wsgi_app,
+)
+from repro.service.workers import (
+    SharedPoolState,
+    WorkerRuntime,
+    WriteCoordinator,
+    make_worker_app,
+)
+from repro.storage import DurableRepositoryStore
+
+CONFIG = DiversificationConfiguration(name="c", weight_scheme="Iden")
+LATE = {"name": "late", "weight_scheme": "Iden", "buckets_per_property": 2}
+
+
+def _json(document):
+    return json.dumps(document, ensure_ascii=False).encode()
+
+
+#: ``(id, status, method, path, query, body)``; an ``int`` body is a
+#: declared ``Content-Length`` sent with no body at all.
+STEPS = (
+    ("select", 200, "POST", "/select", "", _json({"configuration": "c"})),
+    (
+        "delta",
+        200,
+        "POST",
+        "/profiles/delta",
+        "",
+        _json({"upserts": {"né0": {"prop00002": 0.9, "prop00005": 0.2}}}),
+    ),
+    (
+        "select_after_delta",
+        200,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "budget": 6}),
+    ),
+    ("configuration_put", 201, "POST", "/configurations", "", _json(LATE)),
+    ("malformed_json", 400, "POST", "/profiles/delta", "", b'{"upserts": '),
+    ("non_object_body", 400, "POST", "/select", "", b"[1, 2]"),
+    (
+        "non_utf8_body",
+        400,
+        "POST",
+        "/profiles/delta",
+        "",
+        b'{"upserts": {"caf\xe9": {"prop00002": 0.5}}}',
+    ),
+    ("negative_content_length", 400, "POST", "/profiles/delta", "", -1),
+    ("unknown_route", 404, "GET", "/nowhere", "", b""),
+    (
+        "invalid_delta",
+        400,
+        "POST",
+        "/profiles/delta",
+        "",
+        _json({"removals": ["ghost"]}),
+    ),
+    ("admin_wal", 200, "GET", "/admin/wal", "from_seq=0", b""),
+    ("admin_state", 200, "GET", "/admin/state", "", b""),
+    (
+        "writer_error",
+        500,
+        "POST",
+        "/configurations",
+        "",
+        _json({"name": "doomed", "weight_scheme": "Iden"}),
+    ),
+)
+
+
+def _service(repo, store=None):
+    service = PodiumService(repo, store=store)
+    service.configurations.put(CONFIG)
+    service.warm_artifacts()
+    return service
+
+
+def _call(app, method, path, query, body):
+    length = body if isinstance(body, int) else len(body)
+    environ = {
+        "REQUEST_METHOD": method,
+        "PATH_INFO": path,
+        "QUERY_STRING": query,
+        "CONTENT_LENGTH": str(length),
+        "wsgi.input": io.BytesIO(b"" if isinstance(body, int) else body),
+    }
+    status = []
+    chunks = app(environ, lambda line, headers: status.append(line))
+    return status[0], json.loads(b"".join(chunks))
+
+
+@pytest.fixture(scope="module")
+def answers(tmp_path_factory):
+    """Every step's ``(single-process, pool)`` answer pair, by step id."""
+    root = tmp_path_factory.mktemp("boundary")
+    repo = generate_profile_repository(
+        n_users=60, n_properties=6, mean_profile_size=4.0, seed=5
+    )
+    stores = [
+        DurableRepositoryStore(root / name, fsync=False)
+        for name in ("single", "writer")
+    ]
+    single = make_wsgi_app(_service(repo, store=stores[0]))
+    writer = _service(repo, store=stores[1])
+    shared = SharedPoolState(1)
+    coordinator = WriteCoordinator(writer, shared, None, False)
+    worker = _service(repo)  # the forked clone: no store
+    runtime = WorkerRuntime(worker, shared, 0, coordinator.handle)
+    pool = make_worker_app(worker, runtime)
+    pairs = {}
+    try:
+        for step, _, method, path, query, body in STEPS:
+            failing = (
+                mock.patch.object(
+                    PodiumService,
+                    "put_configuration",
+                    side_effect=RuntimeError("boom"),
+                )
+                if step == "writer_error"
+                else contextlib.nullcontext()
+            )
+            with failing:
+                pairs[step] = tuple(
+                    _call(app, method, path, query, body)
+                    for app in (single, pool)
+                )
+    finally:
+        for store in stores:
+            store.close()
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "step,status", [s[:2] for s in STEPS], ids=[s[0] for s in STEPS]
+)
+def test_pool_worker_answers_like_single_process(answers, step, status):
+    single, pool = answers[step]
+    assert single[0].startswith(f"{status} ")
+    assert pool == single
+
+
+def test_writer_error_is_the_boundary_500(answers):
+    assert answers["writer_error"][1][1] == {
+        "error": "internal server error: RuntimeError"
+    }

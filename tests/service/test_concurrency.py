@@ -8,6 +8,7 @@ child process syncing over the unix control socket against shared-memory
 counters — the exact production topology, minus the HTTP layer).
 """
 
+import io
 import json
 import os
 import socket
@@ -27,6 +28,7 @@ from repro.service.workers import (
     SharedPoolState,
     WorkerRuntime,
     WriteCoordinator,
+    make_worker_app,
     unix_rpc,
 )
 from repro.storage import MemoryLog
@@ -52,6 +54,21 @@ def make_follower(shared, coordinator, slot=0):
         service, shared, slot, coordinator.handle, epoch=0, version=0
     )
     return service, runtime
+
+
+def wsgi_call(app, method, path, body=b"", query=""):
+    status = []
+    chunks = app(
+        {
+            "REQUEST_METHOD": method,
+            "PATH_INFO": path,
+            "QUERY_STRING": query,
+            "CONTENT_LENGTH": str(len(body)),
+            "wsgi.input": io.BytesIO(body),
+        },
+        lambda line, headers: status.append(line),
+    )
+    return status[0], json.loads(b"".join(chunks))
 
 
 def delta_body(i):
@@ -121,7 +138,7 @@ class TestInvalidationThreaded:
         _, shared, _, coordinator = make_writer()
         _, runtime = make_follower(shared, coordinator)
         assert not runtime.is_stale()
-        status, payload = coordinator.handle_write(
+        status, payload = coordinator.request(
             "POST", "/profiles/delta", delta_body(0)
         )
         assert status == 200 and payload["users"] == 6
@@ -132,7 +149,7 @@ class TestInvalidationThreaded:
         writer, shared, _, coordinator = make_writer()
         follower, runtime = make_follower(shared, coordinator)
         for i in range(5):
-            coordinator.handle_write("POST", "/profiles/delta", delta_body(i))
+            coordinator.request("POST", "/profiles/delta", delta_body(i))
         assert runtime.ensure_fresh()
         assert not runtime.is_stale()
         assert len(follower.repository) == len(writer.repository) == 10
@@ -148,8 +165,10 @@ class TestInvalidationThreaded:
             for name in service.configurations.names():
                 service.select(name, explain=False)
         for i in range(6):  # far beyond the 2-entry ring
-            coordinator.handle_write("POST", "/profiles/delta", delta_body(i))
-        reply = coordinator.handle({"op": "wal", "from_seq": runtime.version})
+            coordinator.request("POST", "/profiles/delta", delta_body(i))
+        _, reply = coordinator.request(
+            "GET", "/admin/wal", query={"from_seq": runtime.version}
+        )
         assert reply["resync"]
         runtime.ensure_fresh()
         assert len(follower.repository) == len(writer.repository)
@@ -166,7 +185,7 @@ class TestInvalidationThreaded:
         from repro.datasets import profiles_to_dict
 
         body = json.dumps(profiles_to_dict(example_repository())).encode()
-        status, _ = coordinator.handle_write("POST", "/profiles", body)
+        status, _ = coordinator.request("POST", "/profiles", body)
         assert status == 200
         assert int(shared.epoch.value) == 1
         assert runtime.is_stale()
@@ -178,7 +197,7 @@ class TestInvalidationThreaded:
         writer, shared, _, coordinator = make_writer()
         follower, runtime = make_follower(shared, coordinator)
         config = DiversificationConfiguration(name="three", budget=3)
-        status, _ = coordinator.handle_write(
+        status, _ = coordinator.request(
             "POST", "/configurations", json.dumps(config.to_dict()).encode()
         )
         assert status == 201
@@ -188,7 +207,7 @@ class TestInvalidationThreaded:
 
     def test_rejected_write_publishes_nothing(self):
         _, shared, _, coordinator = make_writer()
-        status, payload = coordinator.handle_write(
+        status, payload = coordinator.request(
             "POST",
             "/profiles/delta",
             json.dumps({"removals": ["nobody-here"]}).encode(),
@@ -219,7 +238,7 @@ class TestInvalidationThreaded:
         for t in readers:
             t.start()
         for i in range(30):
-            status, _ = coordinator.handle_write(
+            status, _ = coordinator.request(
                 "POST", "/profiles/delta", delta_body(i)
             )
             assert status == 200
@@ -233,6 +252,27 @@ class TestInvalidationThreaded:
             follower.select("two", explain=False)
             == writer.select("two", explain=False)
         )
+
+
+class TestPoolPrimaryLog:
+    def test_worker_answers_log_routes_with_writers_documents(self):
+        """A worker holds no log: it forwards ``GET /admin/wal`` and
+        ``GET /admin/state`` to the writer, so a follower can tail a
+        pool primary."""
+        writer, shared, _, coordinator = make_writer()
+        follower, runtime = make_follower(shared, coordinator)
+        app = make_worker_app(follower, runtime)
+        status, _ = wsgi_call(app, "POST", "/profiles/delta", delta_body(0))
+        assert status.startswith("200")
+        assert writer.change_log.last_seq == 1
+        status, tail = wsgi_call(app, "GET", "/admin/wal", query="from_seq=0")
+        assert status.startswith("200")
+        assert tail == writer.wal_records_since(0, 256)
+        assert [record["seq"] for record in tail["records"]] == [1]
+        status, state = wsgi_call(app, "GET", "/admin/state")
+        assert status.startswith("200")
+        assert state == json.loads(json.dumps(writer.replication_snapshot()))
+        assert state["wal_seq"] == 1
 
 
 @pytest.mark.skipif(
@@ -289,7 +329,7 @@ class TestInvalidationForked:
 
         os.close(write_fd)
         try:
-            status, _ = coordinator.handle_write(
+            status, _ = coordinator.request(
                 "POST", "/profiles/delta", delta_body(0)
             )
             assert status == 200

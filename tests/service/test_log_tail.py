@@ -288,7 +288,9 @@ def test_worker_catch_up_under_faults(fault):
 
     def rpc(request):
         reply = coordinator.handle(request)
-        return mangle(reply) if request["op"] == "wal" else reply
+        if request["path"] != "/admin/wal":
+            return reply
+        return {**reply, "payload": mangle(reply["payload"])}
 
     runtime = WorkerRuntime(worker, shared, 0, rpc, epoch=0, version=0)
     installs = []
@@ -296,7 +298,7 @@ def test_worker_catch_up_under_faults(fault):
     runtime._adopt_full = lambda: (installs.append(1), adopt_full())[1]
     for step, (kind, value) in enumerate(_writes(repo)):
         path, body = _route(kind, value)
-        status, _ = coordinator.handle_write(
+        status, _ = coordinator.request(
             "POST", path, json.dumps(body).encode()
         )
         assert status < 400
@@ -396,7 +398,7 @@ def test_sync_failure_mid_catch_up_serves_stale(failing_op):
     broken = {"on": True}
 
     def rpc(request):
-        op = request["op"]
+        op = request["path"].rsplit("/", 1)[-1]  # "wal" or "state"
         calls[op] = calls.get(op, 0) + 1
         if broken["on"] and op == failing_op and (
             op == "state" or calls[op] == 2
@@ -405,19 +407,21 @@ def test_sync_failure_mid_catch_up_serves_stale(failing_op):
         reply = coordinator.handle(request)
         if op == "wal" and failing_op == "wal":
             # One record per batch, so the catch-up needs a second call.
-            reply = {**reply, "records": reply["records"][:1]}
+            tail = reply["payload"]
+            tail = {**tail, "records": tail["records"][:1]}
+            reply = {**reply, "payload": tail}
         return reply
 
     runtime = WorkerRuntime(worker, shared, 0, rpc, epoch=0, version=0)
     app = make_worker_app(worker, runtime)
     for delta in _deltas(repo, n=2, users=8, seed=9):
-        coordinator.handle_write(
+        coordinator.request(
             "POST",
             "/profiles/delta",
             json.dumps(profile_delta_to_dict(delta)).encode(),
         )
     if failing_op == "state":  # a new epoch forces a full install
-        coordinator.handle_write(
+        coordinator.request(
             "POST",
             "/profiles",
             json.dumps(profiles_to_dict(_repo(seed=13))).encode(),

@@ -134,13 +134,13 @@ def test_pool_full_resync_after_ring_overflow():
         worker, shared, 0, coordinator.handle, epoch=0, version=0
     )
     for delta in _deltas(_repo()):
-        status, _ = coordinator.handle_write(
+        status, _ = coordinator.request(
             "POST",
             "/profiles/delta",
             json.dumps(profile_delta_to_dict(delta)).encode(),
         )
         assert status == 200
-    assert coordinator.handle({"op": "wal", "from_seq": 0})["resync"]
+    assert coordinator.request("GET", "/admin/wal")[1]["resync"]
     assert runtime.ensure_fresh()
     assert _selections(worker) == _selections(writer)
 

@@ -23,7 +23,11 @@ import pytest
 
 from repro.datasets import example_repository
 from repro.datasets.io import save_profiles
-from repro.service import DiversificationConfiguration, PodiumService
+from repro.service import (
+    DiversificationConfiguration,
+    PodiumService,
+    WalFollower,
+)
 
 from .raw_http import post_declaring_length
 
@@ -228,6 +232,45 @@ class TestPoolEndToEnd:
             assert "2 workers" in line
             assert request(port, "/health")["users"] == 5
         finally:
+            assert stop(server, signal.SIGTERM) == 0
+
+
+class TestPoolPrimaryFollowed:
+    @pytest.mark.parametrize("durable", (True, False), ids=("store", "memory"))
+    def test_wal_follower_tails_a_pool_primary(
+        self, profiles_file, tmp_path, durable
+    ):
+        """The log routes are forwarded to the writer, so a follower
+        bootstraps from a pool and tails its deltas and puts to lag 0."""
+        store_args = ["--data-dir", str(tmp_path / "data")] if durable else []
+        server, port, _ = boot(
+            ["--profiles", profiles_file, "--workers", "2", *store_args]
+        )
+        replica = PodiumService()
+        follower = WalFollower(
+            replica, f"http://127.0.0.1:{port}", poll_interval=0.05
+        )
+        try:
+            request(port, "/profiles/delta", delta_body(0))
+            follower.start()
+            assert replica.stats()["users"] == 6
+            request(port, "/profiles/delta", delta_body(1))
+            late = {"name": "late", "weight_scheme": "Iden", "budget": 2}
+            request(port, "/configurations", json.dumps(late).encode())
+            deadline = time.monotonic() + 15
+            while True:
+                stats = follower.stats()
+                if stats["applied_seq"] == 3 and stats["lag_seq"] == 0:
+                    break
+                assert time.monotonic() < deadline, stats
+                time.sleep(0.05)
+            for name in ("cli", "late"):
+                body = json.dumps({"configuration": name}).encode()
+                want = request(port, "/select", body)
+                got = json.loads(json.dumps(replica.select(name)))
+                assert got == want, name
+        finally:
+            follower.stop()
             assert stop(server, signal.SIGTERM) == 0
 
 
