@@ -1,15 +1,13 @@
 """Checkpointing the grouping module's output (paper §7, Fig. 1).
 
-The grouping module runs "in an offline process"; for large repositories
-its output — the group set and the materialized instance — is worth
+The grouping module runs "in an offline process"; its output is worth
 persisting so the selection module can restart without re-bucketing.
-These functions serialize both to plain JSON.  EBS weights are exact
-(arbitrary-precision) Python integers and JSON round-trips them
-losslessly.
+:func:`group_set_to_dict` / :func:`group_set_from_dict` serialize a
+frozen group set to plain JSON (a snapshot stores one per
+configuration, checksummed with :func:`payload_checksum`).
 
-For million-user indexes the JSON formats are the wrong tool — the CSR
-arrays of a 500k-user instance are tens of megabytes of integers that
-JSON would serialize as text and rebuild through Python objects.
+The CSR arrays of a large instance are tens of megabytes of integers
+that JSON would serialize as text and rebuild through Python objects.
 :func:`save_index_npz` / :func:`load_index_npz` round-trip an
 :class:`~repro.core.index.InstanceIndex` through one ``.npz`` file
 instead: the arrays are stored verbatim (no recompute on load, no
@@ -37,16 +35,14 @@ from .buckets import Bucket
 from .errors import DatasetError
 from .groups import Group, GroupKey, GroupSet
 from .index import InstanceIndex
-from .instance import DiversificationInstance
 
 _GROUPS_FORMAT = "podium-groups-v1"
-_INSTANCE_FORMAT = "podium-instance-v1"
 _INDEX_FORMAT = "podium-index-npz-v1"
 
-#: Checkpoint-envelope version written by :func:`save_instance` and
-#: :func:`save_index_npz`.  Readers accept this version and the legacy
-#: header-less files of version 1; anything newer fails with a clear
-#: error instead of a cryptic decode failure.
+#: Checkpoint-envelope version written by :func:`save_index_npz`.
+#: Readers accept this version and the legacy header-less files of
+#: version 1; anything newer fails with a clear error instead of a
+#: cryptic decode failure.
 CHECKPOINT_VERSION = 2
 
 
@@ -61,42 +57,6 @@ def payload_checksum(payload: dict[str, Any]) -> int:
         payload, sort_keys=True, separators=(",", ":")
     ).encode()
     return zlib.crc32(canonical) & 0xFFFFFFFF
-
-
-def _unwrap_checkpoint(
-    document: dict[str, Any], expected_format: str
-) -> dict[str, Any]:
-    """Verify a version-2 checkpoint envelope and return its payload.
-
-    Legacy version-1 files (the bare payload, no envelope) pass through
-    unchanged — their own ``format`` field is still validated by the
-    payload parser.
-    """
-    if "payload" not in document:
-        return document  # legacy v1 checkpoint: bare payload
-    version = document.get("format_version")
-    if not isinstance(version, int) or version > CHECKPOINT_VERSION:
-        raise DatasetError(
-            f"checkpoint format_version {version!r} is newer than this "
-            f"reader (supports <= {CHECKPOINT_VERSION}); upgrade to load it"
-        )
-    if document.get("format") != expected_format:
-        raise DatasetError(
-            f"expected format {expected_format!r}, "
-            f"got {document.get('format')!r}"
-        )
-    payload = document["payload"]
-    if not isinstance(payload, dict):
-        raise DatasetError("checkpoint payload must be a JSON object")
-    stored = document.get("payload_crc32")
-    actual = payload_checksum(payload)
-    if stored != actual:
-        raise DatasetError(
-            f"checkpoint payload checksum mismatch (stored {stored!r}, "
-            f"computed {actual}): the file is corrupted or was edited "
-            f"without updating its header"
-        )
-    return payload
 
 
 def _bucket_to_dict(bucket: Bucket | None) -> dict[str, Any] | None:
@@ -158,92 +118,6 @@ def group_set_from_dict(document: dict[str, Any]) -> GroupSet:
         raise DatasetError(f"malformed group document: {exc}") from exc
 
 
-def _key_token(key: GroupKey) -> str:
-    return f"{key.property_label}::{key.bucket_label}"
-
-
-def _key_from_token(token: str) -> GroupKey:
-    prop, _, bucket = token.rpartition("::")
-    return GroupKey(prop, bucket)
-
-
-def instance_to_dict(instance: DiversificationInstance) -> dict[str, Any]:
-    """Serialize a full diversification instance."""
-    return {
-        "format": _INSTANCE_FORMAT,
-        "budget": instance.budget,
-        "population_size": instance.population_size,
-        "groups": group_set_to_dict(instance.groups),
-        "wei": {_key_token(k): w for k, w in instance.wei.items()},
-        "cov": {_key_token(k): c for k, c in instance.cov.items()},
-    }
-
-
-def instance_from_dict(document: dict[str, Any]) -> DiversificationInstance:
-    """Rebuild an instance serialized by :func:`instance_to_dict`."""
-    if document.get("format") != _INSTANCE_FORMAT:
-        raise DatasetError(
-            f"expected format {_INSTANCE_FORMAT!r}, "
-            f"got {document.get('format')!r}"
-        )
-    try:
-        return DiversificationInstance(
-            groups=group_set_from_dict(document["groups"]),
-            wei={
-                _key_from_token(t): w for t, w in document["wei"].items()
-            },
-            cov={
-                _key_from_token(t): int(c)
-                for t, c in document["cov"].items()
-            },
-            budget=int(document["budget"]),
-            population_size=int(document["population_size"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"malformed instance document: {exc}") from exc
-
-
-def save_instance(
-    instance: DiversificationInstance, path: str | Path
-) -> None:
-    """Write an instance checkpoint to ``path`` as JSON.
-
-    The payload is wrapped in a checkpoint envelope carrying the format
-    name, a format version and a CRC32 of the canonical payload, so a
-    truncated or hand-edited file fails loudly on load instead of
-    surfacing as a cryptic decode error deep in the parser.
-    """
-    payload = instance_to_dict(instance)
-    Path(path).write_text(
-        json.dumps(
-            {
-                "format": _INSTANCE_FORMAT,
-                "format_version": CHECKPOINT_VERSION,
-                "payload_crc32": payload_checksum(payload),
-                "payload": payload,
-            }
-        )
-    )
-
-
-def load_instance(path: str | Path) -> DiversificationInstance:
-    """Read an instance checkpoint written by :func:`save_instance`.
-
-    Verifies the envelope's format version and payload checksum (clear
-    :class:`DatasetError` on mismatch); legacy header-less checkpoints
-    still load.
-    """
-    try:
-        document = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(
-            f"instance checkpoint {path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(document, dict):
-        raise DatasetError("instance checkpoint must be a JSON object")
-    return instance_from_dict(_unwrap_checkpoint(document, _INSTANCE_FORMAT))
-
-
 def _index_checksum(arrays: dict[str, np.ndarray]) -> int:
     """CRC32 over the index's array payload in a fixed name order.
 
@@ -269,11 +143,9 @@ def save_index_npz(
     Everything needed to reconstruct the index exactly is stored —
     including ``wei``/``initial_gains`` and the ``vectorizable`` flag, so
     loading never recomputes the big-int mass check.  A format-version
-    header and a CRC32 over every stored array guard the load path the
-    same way the JSON envelope guards :func:`save_instance`.
+    header and a CRC32 over every stored array guard the load path.
     Non-vectorizable indexes (EBS big-ints) are rejected: their exact
-    weights live in the instance, not the index, and belong in the JSON
-    checkpoint.
+    weights live in the instance, not the index.
 
     The default stores the arrays verbatim (``ZIP_STORED`` members) so
     :func:`open_index_npz` can memory-map them in place — the layout the serving tier depends on, where N forked

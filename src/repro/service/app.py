@@ -388,11 +388,12 @@ class PodiumService:
         the default-budget instance.
 
         With ``new_epoch`` true (everything but recovery, where the
-        store already holds this state) the change log starts a new
-        epoch.  A store first groups every registered configuration,
-        then snapshots the epoch with those groups and the registry;
-        ``base_seq`` aligns its sequence numbering with a replication
-        primary's.
+        store already holds this state) a process with a change log
+        groups every registered configuration and starts a new epoch:
+        a store snapshots it with those groups and the registry
+        (``base_seq`` aligns its sequence numbering with a replication
+        primary's), and the processes tailing the log install the same
+        groups.
 
         Returns the sorted names of the adopted artifacts.
         """
@@ -416,18 +417,21 @@ class PodiumService:
             ]
             for name in adopted:
                 self._adopt_artifact(name, state.artifacts[name])
-            if new_epoch and self.store is not None:
+            if new_epoch and self.change_log is not None:
+                # Group every configuration now, as at a config record:
+                # the processes tailing this log adopt these buckets.
                 timer = StageTimer()
                 for name in self._configurations.names():
                     self._artifacts(name, timer)
-                self.store.reset(
-                    state.repository,
-                    base_seq=base_seq,
-                    artifacts=self._export_artifacts(),
-                    configurations=self._registry(),
-                )
-            elif new_epoch and self.memory_log is not None:
-                self.memory_log.reset()
+                if self.store is not None:
+                    self.store.reset(
+                        state.repository,
+                        base_seq=base_seq,
+                        artifacts=self._export_artifacts(),
+                        configurations=self._registry(),
+                    )
+                else:
+                    self.memory_log.reset()
         return sorted(adopted)
 
     def _adopt_artifact(self, name: str, artifact: SnapshotArtifact) -> None:
@@ -487,6 +491,14 @@ class PodiumService:
                 config = DiversificationConfiguration.from_dict(
                     payload.get("config") or {}
                 )
+                # Grouped at the record, not on some process's first
+                # read: every process applying it freezes the same
+                # buckets, so later deltas keep them answering alike.
+                entry = (
+                    None
+                    if self._repository is None
+                    else self._group(config, StageTimer())
+                )
             else:
                 raise ServiceError(f"unknown change record kind {kind!r}")
             if self.store is not None:
@@ -496,6 +508,8 @@ class PodiumService:
             if kind == KIND_CONFIG:
                 self._configurations.put(config)
                 self._cache.pop(config.name, None)
+                if entry is not None:
+                    self._cache[config.name] = entry
                 response = {"configuration": config.name}
             else:
                 response = self._apply_delta_locked(delta)
@@ -880,33 +894,33 @@ class PodiumService:
     ) -> _ConfigArtifacts:
         """Fetch (or group) the cache entry of one configuration."""
         config = self._configurations.get(config_name)
-
-        def build() -> _ConfigArtifacts:
-            repository = self._repository_or_raise()
-            with timer.stage("grouping"):
-                if config.property_prefixes is not None:
-                    repository = UserRepository(
-                        profile.restricted_to(
-                            label
-                            for label in profile.properties
-                            if config.matches_property(label)
-                        )
-                        for profile in repository
-                    )
-                groups = build_simple_groups(
-                    repository, config.grouping_config()
-                )
-            return _ConfigArtifacts(
-                config=config, groups=groups, groups_version=groups.version
-            )
-
         entry, _ = self._memo(
             self._cache,
             config_name,
-            build,
+            lambda: self._group(config, timer),
             lambda cached: self._entry_valid(cached, config),
         )
         return entry
+
+    def _group(
+        self, config: DiversificationConfiguration, timer: StageTimer
+    ) -> _ConfigArtifacts:
+        """Group the repository under ``config`` into a fresh entry."""
+        repository = self._repository_or_raise()
+        with timer.stage("grouping"):
+            if config.property_prefixes is not None:
+                repository = UserRepository(
+                    profile.restricted_to(
+                        label
+                        for label in profile.properties
+                        if config.matches_property(label)
+                    )
+                    for profile in repository
+                )
+            groups = build_simple_groups(repository, config.grouping_config())
+        return _ConfigArtifacts(
+            config=config, groups=groups, groups_version=groups.version
+        )
 
     def _instance(
         self,
@@ -1312,10 +1326,94 @@ def _int_field(value: Any, name: str) -> int:
         ) from None
 
 
-#: Mutating routes a read-only follower refuses until promotion.  Local
-#: admin durability ops (snapshot/compact) stay allowed: they persist
-#: the follower's own replicated state without diverging from the
-#: primary's history.
+def _put_configuration(service, query, body, timer) -> dict[str, Any]:
+    config = DiversificationConfiguration.from_dict(_read_json(body))
+    service.put_configuration(config)
+    return config.to_dict()
+
+
+def _load_profiles(service, query, body, timer) -> dict[str, Any]:
+    from ..datasets.io import profiles_from_dict
+
+    service.load_repository(profiles_from_dict(_read_json(body)))
+    return {"loaded_users": len(service.repository)}
+
+
+def _apply_delta(service, query, body, timer) -> dict[str, Any]:
+    return service.apply_profile_delta(parse_profile_delta(_read_json(body)))
+
+
+def _wal_tail(service, query, body, timer) -> dict[str, Any]:
+    return service.wal_records_since(
+        _int_field(query.get("from_seq", 0), "from_seq"),
+        _int_field(query.get("limit", 256), "limit"),
+    )
+
+
+def _explain_page(service, query, body, timer) -> bytes:
+    budget = query.get("budget")
+    return service.explanation_page(
+        query.get("configuration", "default"),
+        None if budget is None else _int_field(budget, "budget"),
+        timer=timer,
+    ).encode()
+
+
+def _group_listing(service, query, body, timer) -> list[dict[str, Any]]:
+    name = query.get("configuration", "default")
+    return service.group_listing(name, timer=timer)
+
+
+def _select(service, query, body, timer) -> dict[str, Any]:
+    document = _read_json(body)
+    return service.select(
+        config_name=str(document.get("configuration", "default")),
+        budget=(
+            _int_field(document["budget"], "budget")
+            if "budget" in document
+            else None
+        ),
+        feedback=parse_feedback(document.get("feedback")),
+        distribution_properties=tuple(
+            str(p) for p in document.get("distribution_properties", ())
+        ),
+        explain=bool(document.get("explain", True)),
+        timer=timer,
+        maintained=bool(document.get("maintained", False)),
+        constraints=parse_constraints(document.get("constraints")),
+    )
+
+
+def _configuration_list(service, *_: Any) -> list[dict[str, Any]]:
+    registry = service.configurations
+    return [registry.get(name).to_dict() for name in registry.names()]
+
+
+#: The API, defined once: ``(method, path) → (status, handler)``, where
+#: ``handler(service, query, body, timer)`` returns the payload.  The
+#: WSGI adapter keys ``/metrics`` by membership here, so no client can
+#: grow the per-route counter map.
+ROUTES: dict[tuple[str, str], tuple[int, Callable[..., Any]]] = {
+    ("GET", "/health"): (200, lambda s, *_: {"status": "ok", **s.stats()}),
+    ("GET", "/metrics"): (200, lambda s, *_: s.metrics_snapshot()),
+    ("GET", "/configurations"): (200, _configuration_list),
+    ("POST", "/configurations"): (201, _put_configuration),
+    ("POST", "/profiles"): (200, _load_profiles),
+    ("POST", "/profiles/delta"): (200, _apply_delta),
+    ("POST", "/admin/snapshot"): (200, lambda s, *_: s.snapshot_store()),
+    ("POST", "/admin/compact"): (200, lambda s, *_: s.compact_store()),
+    ("GET", "/admin/wal"): (200, _wal_tail),
+    ("GET", "/admin/state"): (200, lambda s, *_: s.replication_snapshot()),
+    ("POST", "/admin/promote"): (200, lambda s, *_: s.promote()),
+    ("GET", "/explain.html"): (200, _explain_page),
+    ("GET", "/groups"): (200, _group_listing),
+    ("POST", "/select"): (200, _select),
+}
+
+#: The routes of :data:`ROUTES` that change served state, which a
+#: read-only follower refuses until promotion.  Local admin durability
+#: ops (snapshot/compact) stay allowed: they persist the follower's own
+#: replicated state without diverging from the primary's history.
 WRITE_ROUTES = frozenset(
     {
         ("POST", "/profiles"),
@@ -1334,6 +1432,9 @@ def _dispatch(
     timer: StageTimer,
 ) -> tuple[int, Any]:
     """Resolve one request to ``(status, payload)``."""
+    route = ROUTES.get((method, path))
+    if route is None:
+        return 404, {"error": f"no route {method} {path}"}
     if service.read_only and (method, path) in WRITE_ROUTES:
         return (
             503,
@@ -1343,74 +1444,8 @@ def _dispatch(
                 "take over"
             },
         )
-    if method == "GET" and path == "/health":
-        return 200, {"status": "ok", **service.stats()}
-    if method == "GET" and path == "/metrics":
-        return 200, service.metrics_snapshot()
-    if method == "GET" and path == "/configurations":
-        return 200, [
-            service.configurations.get(name).to_dict()
-            for name in service.configurations.names()
-        ]
-    if method == "POST" and path == "/configurations":
-        config = DiversificationConfiguration.from_dict(_read_json(body))
-        service.put_configuration(config)
-        return 201, config.to_dict()
-    if method == "POST" and path == "/profiles":
-        from ..datasets.io import profiles_from_dict
-
-        service.load_repository(profiles_from_dict(_read_json(body)))
-        return 200, {"loaded_users": len(service.repository)}
-    if method == "POST" and path == "/profiles/delta":
-        delta = parse_profile_delta(_read_json(body))
-        return 200, service.apply_profile_delta(delta)
-    if method == "POST" and path == "/admin/snapshot":
-        return 200, service.snapshot_store()
-    if method == "POST" and path == "/admin/compact":
-        return 200, service.compact_store()
-    if method == "GET" and path == "/admin/wal":
-        return 200, service.wal_records_since(
-            _int_field(query.get("from_seq", 0), "from_seq"),
-            _int_field(query.get("limit", 256), "limit"),
-        )
-    if method == "GET" and path == "/admin/state":
-        return 200, service.replication_snapshot()
-    if method == "POST" and path == "/admin/promote":
-        return 200, service.promote()
-    if method == "GET" and path == "/explain.html":
-        html = service.explanation_page(
-            query.get("configuration", "default"),
-            (
-                _int_field(query["budget"], "budget")
-                if "budget" in query
-                else None
-            ),
-            timer=timer,
-        )
-        return 200, html.encode()
-    if method == "GET" and path == "/groups":
-        name = query.get("configuration", "default")
-        return 200, service.group_listing(name, timer=timer)
-    if method == "POST" and path == "/select":
-        document = _read_json(body)
-        response = service.select(
-            config_name=str(document.get("configuration", "default")),
-            budget=(
-                _int_field(document["budget"], "budget")
-                if "budget" in document
-                else None
-            ),
-            feedback=parse_feedback(document.get("feedback")),
-            distribution_properties=tuple(
-                str(p) for p in document.get("distribution_properties", ())
-            ),
-            explain=bool(document.get("explain", True)),
-            timer=timer,
-            maintained=bool(document.get("maintained", False)),
-            constraints=parse_constraints(document.get("constraints")),
-        )
-        return 200, response
-    return 404, {"error": f"no route {method} {path}"}
+    status, handler = route
+    return status, handler(service, query, body, timer)
 
 
 def handle_request(
@@ -1447,10 +1482,11 @@ def make_wsgi_app(
 ) -> Callable:
     """Build the WSGI callable exposing ``service`` over HTTP.
 
-    The one WSGI adapter: it parses ``environ`` into ``(method, path,
-    query, body)``, has ``handler`` answer it — :func:`handle_request`
-    on ``service`` unless a pool worker passes its own, with the same
-    signature minus ``service`` — then counts the request in
+    The one WSGI adapter of every process: it parses ``environ`` into
+    ``(method, path, query, body)``, has ``handler`` answer it —
+    :func:`handle_request` on ``service`` unless a pool worker or the
+    pool's writer passes its own, called as ``handler(method, path,
+    query=, body=, timer=)`` — then counts the request in
     ``service.metrics``, logs it as a one-line JSON document and
     encodes the response.  A raw interpreter traceback never reaches
     the client.
@@ -1472,11 +1508,15 @@ def make_wsgi_app(
         else:
             body = environ["wsgi.input"].read(length) if length else b""
             query = dict(parse_qsl(environ.get("QUERY_STRING", "")))
-            status, payload = handler(method, path, query, body, timer)
+            status, payload = handler(
+                method, path, query=query, body=body, timer=timer
+            )
         seconds = time.perf_counter() - started
-        # Unmatched paths share one metrics bucket so arbitrary probes
-        # cannot grow the counter map without bound.
-        route = f"{method} {path}" if status != 404 else "<unmatched>"
+        # Paths outside the route table share one metrics bucket, so
+        # arbitrary probes cannot grow the counter map without bound.
+        route = (
+            f"{method} {path}" if (method, path) in ROUTES else "<unmatched>"
+        )
         service.metrics.observe_request(route, status, seconds, timer.seconds)
         error = payload.get("error") if status >= 400 else None
         logger.info(

@@ -17,8 +17,8 @@ Topology
     ├─ DurableRepositoryStore (WAL+snap)     ├─ no store (fd released)
     ├─ WriteCoordinator                      ├─ PooledWSGIServer
     │   applies writes, publishes counters   │   SO_REUSEPORT socket
-    ├─ ControlServer (unix socket) ◄────────►├─ WorkerRuntime
-    │   ops: request / cluster               │   forwards writes, tails log
+    ├─ PooledWSGIServer (unix socket) ◄─────►├─ WorkerRuntime
+    │   HTTP over the control socket         │   forwards writes, tails log
     └─ SharedPoolState (shm counters)        └─ _SharedSlotMetrics
 
 **Reads** (``/select``, ``/groups``, ``/health``, ...) are answered
@@ -30,13 +30,15 @@ inherited listening socket and compete on ``accept``.
 **Writes** (``POST /profiles``, ``/profiles/delta``, ``/configurations``,
 ``/admin/snapshot``, ``/admin/compact``) and the two log reads
 (``GET /admin/wal``, ``GET /admin/state``: the writer holds the log)
-are forwarded over a unix control socket to the single writer — the
-parent — whose ``request`` op answers them through
-:func:`~repro.service.app.handle_request`, the boundary a single-process
-server runs.  A delta or configuration put is a change-log record:
-WAL-appended before it is applied with a store, put in a bounded
-:class:`~repro.storage.MemoryLog` (same records, same reader API)
-without one.  The client's 200 means the delta is fsynced, as in
+are forwarded to the single writer — the parent — as plain HTTP
+requests over a private unix control socket.  The writer serves there
+the same WSGI app every process runs
+(:func:`~repro.service.app.make_wsgi_app`), whose handler answers
+through :func:`~repro.service.app.handle_request`, the boundary a
+single-process server runs.  A delta or configuration put is a
+change-log record: WAL-appended before it is applied with a store, put
+in a bounded :class:`~repro.storage.MemoryLog` (same records, same
+reader API) without one.  The client's 200 means the delta is fsynced, as in
 single-process serving; a writer-side failure is the same JSON 500 a
 single process answers, and a 503 means only that the writer could
 not be reached.
@@ -45,7 +47,7 @@ not be reached.
 ``(epoch, version)`` pair mirrors the log's ``(reset_epoch, last_seq)``.
 A worker behind it tails the writer's log as a replication follower
 tails a primary — sending ``GET /admin/wal`` and ``GET /admin/state``
-through the same ``request`` op — through the shared
+over the same socket — through the shared
 :func:`~repro.service.replication.apply_log_tail`: each record goes
 through :meth:`~repro.service.app.PodiumService.apply_record`, the path
 the writer took, so every process converges to byte-identical serving
@@ -65,13 +67,13 @@ snapshot.
 from __future__ import annotations
 
 import ctypes
+import http.client
 import json
 import logging
 import os
 import select as _select
 import signal
 import socket
-import struct
 import tempfile
 import threading
 import time
@@ -79,6 +81,7 @@ from dataclasses import dataclass, field
 from multiprocessing.sharedctypes import RawArray, RawValue
 from socketserver import ThreadingMixIn
 from typing import Any, Callable
+from urllib.parse import urlencode
 from wsgiref.simple_server import WSGIServer
 
 from ..storage import MemoryLog, snapshot_state_from_dict
@@ -109,8 +112,6 @@ FORWARDED_ROUTES = WRITE_ROUTES | {
     ("GET", "/admin/state"),
 }
 
-_FRAME_HEADER = struct.Struct(">I")
-_MAX_FRAME = 512 * 1024 * 1024  # corrupt-length guard, not a quota
 _FIELD_INDEX = {name: i for i, name in enumerate(WORKER_COUNTER_FIELDS)}
 
 
@@ -176,46 +177,6 @@ class SharedPoolState:
 
 
 # ---------------------------------------------------------------------------
-# Control-socket framing (length-prefixed JSON)
-# ---------------------------------------------------------------------------
-
-
-def send_frame(sock: socket.socket, document: dict[str, Any]) -> None:
-    """Write one length-prefixed JSON frame to the control socket."""
-    blob = json.dumps(document).encode()
-    sock.sendall(_FRAME_HEADER.pack(len(blob)) + blob)
-
-
-def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
-    """Read one frame; ``None`` on a clean EOF between frames."""
-    header = _recv_exact(sock, _FRAME_HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = _FRAME_HEADER.unpack(header)
-    if length > _MAX_FRAME:
-        raise OSError(f"control frame of {length} bytes exceeds limit")
-    blob = _recv_exact(sock, length, allow_eof=False)
-    assert blob is not None
-    return json.loads(blob.decode())
-
-
-def _recv_exact(
-    sock: socket.socket, n: int, allow_eof: bool
-) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == n:
-                return None
-            raise OSError("control connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-# ---------------------------------------------------------------------------
 # Writer side (parent process)
 # ---------------------------------------------------------------------------
 
@@ -223,12 +184,14 @@ def _recv_exact(
 class WriteCoordinator:
     """Serializes every pool mutation through the parent's service.
 
-    :meth:`request` answers a forwarded request through the *same*
-    :func:`~repro.service.app.handle_request` the single-process server
-    runs — identical validation, durability, errors and response
-    bodies.  A POST runs under one mutex that also publishes the change
-    log's position (``memory_log`` without a store) to the shared
-    counters.
+    :meth:`request` is the handler of the writer's private endpoint —
+    the app :func:`~repro.service.app.make_wsgi_app` builds, served on
+    the control socket by :meth:`serve` — so a forwarded request is
+    answered by the *same* :func:`~repro.service.app.handle_request`
+    the single-process server runs: identical validation, durability,
+    errors and response bodies.  A POST runs under one mutex that also
+    publishes the change log's position (``memory_log`` without a
+    store) to the shared counters.
     """
 
     def __init__(
@@ -244,25 +207,8 @@ class WriteCoordinator:
         self.mutex = threading.Lock()
         if memory_log is not None:
             service.memory_log = memory_log
+        service.cluster_stats_provider = self.cluster_document
         self._publish()
-
-    def handle(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = request.get("op")
-        try:
-            if op == "request":
-                status, payload = self.request(
-                    str(request.get("method", "GET")),
-                    str(request.get("path", "")),
-                    str(request.get("body", "")).encode("latin-1"),
-                    dict(request.get("query") or {}),
-                )
-                return {"status": status, "payload": payload}
-            if op == "cluster":
-                return self.cluster_document()
-        except Exception as exc:  # noqa: BLE001 — keep the channel alive
-            logger.exception("control op %r failed", op)
-            return {"error": f"{type(exc).__name__}: {exc}"}
-        return {"error": f"unknown control op {op!r}"}
 
     def request(
         self,
@@ -270,9 +216,11 @@ class WriteCoordinator:
         path: str,
         body: bytes = b"",
         query: dict[str, Any] | None = None,
+        timer: StageTimer | None = None,
     ) -> tuple[int, Any]:
         """Answer one forwarded request as ``(status, payload)``."""
-        args = (self.service, method, path, query or {}, body, StageTimer())
+        timer = timer or StageTimer()
+        args = (self.service, method, path, query or {}, body, timer)
         if method != "POST":
             return handle_request(*args)
         with self.mutex:
@@ -288,7 +236,7 @@ class WriteCoordinator:
 
     def cluster_document(self) -> dict[str, Any]:
         rows = self.shared.rows()
-        document: dict[str, Any] = {
+        return {
             "workers": self.shared.slots,
             "live_workers": len(rows),
             "reuseport": self.reuseport,
@@ -300,48 +248,19 @@ class WriteCoordinator:
             "per_worker": rows,
             "totals": aggregate_worker_rows(rows),
         }
-        store = self.service.store
-        document["storage"] = store.stats() if store is not None else None
-        return document
 
-
-class ControlServer:
-    """Threaded unix-socket server answering worker RPCs in the parent."""
-
-    def __init__(
-        self, sock: socket.socket, coordinator: WriteCoordinator
-    ) -> None:
-        self._sock = sock
-        self._coordinator = coordinator
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="pool-control", daemon=True
+    def serve(self, sock: socket.socket) -> "PooledWSGIServer":
+        """Serve the writer's HTTP endpoint on ``sock`` from a thread."""
+        server = PooledWSGIServer(
+            sock, make_wsgi_app(self.service, self.request)
         )
-        self._thread.start()
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return  # listener closed: shutdown
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            while True:
-                request = recv_frame(conn)
-                if request is None:
-                    return
-                send_frame(conn, self._coordinator.handle(request))
-        except OSError:
-            pass  # worker went away mid-exchange
-        finally:
-            conn.close()
-
-    def close(self) -> None:
-        self._sock.close()
+        threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": 0.1},
+            name="pool-writer",
+            daemon=True,
+        ).start()
+        return server
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +306,14 @@ class _SharedSlotMetrics(ServiceMetrics):
 
 
 class WorkerRuntime:
-    """One worker's view of the pool: freshness, forwarding, cluster RPC.
+    """One worker's view of the pool: freshness, forwarding, cluster view.
 
-    ``rpc`` is injectable so tests can drive the invalidation protocol
-    against an in-process coordinator without forking.
+    Everything it asks of the writer goes through one transport,
+    ``send(method, path, query=, body=) -> (status, payload)``: over
+    HTTP on the control socket in a real pool
+    (:func:`unix_http_transport`), or an in-process coordinator's
+    :meth:`WriteCoordinator.request` in tests.  A transport failure
+    raises :class:`OSError`.
     """
 
     def __init__(
@@ -398,14 +321,14 @@ class WorkerRuntime:
         service: PodiumService,
         shared: SharedPoolState,
         slot: int,
-        rpc: Callable[[dict[str, Any]], dict[str, Any]],
+        send: Callable[..., tuple[int, Any]],
         epoch: int | None = None,
         version: int | None = None,
     ) -> None:
         self.service = service
         self.shared = shared
         self.slot = slot
-        self._rpc = rpc
+        self._send = send
         self._refresh_lock = threading.Lock()
         self._count_lock = threading.Lock()
         # (epoch, version) the handed-over state corresponds to.  A
@@ -433,7 +356,7 @@ class WorkerRuntime:
     def ensure_fresh(self) -> bool:
         """Catch up with the writer's log if the shared counters moved.
 
-        Returns ``True`` when a sync ran.  Raises on RPC failure —
+        Returns ``True`` when a sync ran.  Raises on transport failure —
         callers decide whether to serve stale (reads) or fail (tests);
         records applied before the failure stay applied, and the next
         sync resumes after them.
@@ -461,28 +384,9 @@ class WorkerRuntime:
                 tail = self._fetch_tail()
             return True
 
-    def _call(
-        self, method: str, path: str, query: dict[str, Any], body: bytes
-    ) -> tuple[int, Any]:
-        """Send one request to the writer's boundary (``request`` op)."""
-        reply = self._rpc(
-            {
-                "op": "request",
-                "method": method,
-                "path": path,
-                "query": query,
-                # Latin-1 maps each byte to one code point: the body
-                # crosses the JSON frame unchanged, even if not UTF-8.
-                "body": body.decode("latin-1"),
-            }
-        )
-        if "error" in reply:
-            raise OSError(f"{method} {path} rejected: {reply['error']}")
-        return int(reply["status"]), reply["payload"]
-
     def _fetch(self, path: str, **query: Any) -> dict[str, Any]:
-        """``GET`` one of the writer's log documents; non-200 raises."""
-        status, payload = self._call("GET", path, query, b"")
+        """``GET`` one of the writer's documents; non-200 raises."""
+        status, payload = self._send("GET", path, query=query, body=b"")
         if status != 200:
             raise OSError(f"GET {path} answered {status}: {payload}")
         return payload
@@ -505,34 +409,59 @@ class WorkerRuntime:
         self, method: str, path: str, query: dict[str, Any], body: bytes
     ) -> tuple[int, Any]:
         """Route a client request to the writer; returns (status, payload)."""
-        answer = self._call(method, path, query, body)
+        answer = self._send(method, path, query=query, body=body)
         if method == "POST":
             self._count("forwarded_writes")
         return answer
 
     def cluster_document(self) -> dict[str, Any]:
-        reply = self._rpc({"op": "cluster"})
-        reply["answered_by_slot"] = self.slot
-        return reply
+        """The writer's pool view and storage gauges, from its /metrics."""
+        metrics = self._fetch("/metrics")
+        return {
+            **metrics["cluster"],
+            "storage": metrics.get("storage"),
+            "answered_by_slot": self.slot,
+        }
 
     def note_sync_failure(self) -> None:
         self._count("sync_failures")
 
 
-def unix_rpc(control_path: str, timeout: float = 60.0) -> Callable:
-    """Build the one-shot-connection RPC callable for a real worker."""
+class _UnixHTTPConnection(http.client.HTTPConnection):
+    """An HTTP client connection to a server on a unix socket path."""
 
-    def rpc(request: dict[str, Any]) -> dict[str, Any]:
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(timeout)
-            sock.connect(control_path)
-            send_frame(sock, request)
-            reply = recv_frame(sock)
-        if reply is None:
-            raise OSError("control channel closed before reply")
-        return reply
+    def __init__(self, socket_path: str, timeout: float) -> None:
+        super().__init__("localhost", timeout=timeout)
+        self.socket_path = socket_path
 
-    return rpc
+    def connect(self) -> None:
+        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.sock.settimeout(self.timeout)
+        self.sock.connect(self.socket_path)
+
+
+def unix_http_transport(
+    control_path: str, timeout: float = 60.0
+) -> Callable[..., tuple[int, Any]]:
+    """A real worker's ``send``: one HTTP request per fresh connection
+    to the writer's endpoint on the control socket."""
+
+    def send(
+        method: str, path: str, query: dict[str, Any], body: bytes
+    ) -> tuple[int, Any]:
+        connection = _UnixHTTPConnection(control_path, timeout)
+        target = f"{path}?{urlencode(query)}" if query else path
+        try:
+            connection.request(method, target, body=body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        except (http.client.HTTPException, ValueError) as exc:
+            # A torn or garbled reply fails like a refused connection.
+            raise OSError(f"{method} {path}: {exc!r}") from exc
+        finally:
+            connection.close()
+
+    return send
 
 
 def make_worker_app(service: PodiumService, runtime: WorkerRuntime) -> Callable:
@@ -572,9 +501,10 @@ def make_worker_app(service: PodiumService, runtime: WorkerRuntime) -> Callable:
 class PooledWSGIServer(ThreadingMixIn, WSGIServer):
     """Threaded WSGI server adopting a pre-bound (possibly shared) socket.
 
-    Unlike the single-process server, in-flight request threads are
-    *joined* on close (``daemon_threads = False``) so a SIGTERM drains
-    cleanly instead of killing responses mid-write.
+    The socket is a worker's TCP listener or the writer's unix control
+    socket.  Unlike the single-process server, in-flight request threads
+    are *joined* on close (``daemon_threads = False``) so a SIGTERM
+    drains cleanly instead of killing responses mid-write.
     """
 
     daemon_threads = False
@@ -583,7 +513,10 @@ class PooledWSGIServer(ThreadingMixIn, WSGIServer):
     def __init__(
         self, sock: socket.socket, app: Callable, handler_class=QuietHandler
     ) -> None:
-        host, port = sock.getsockname()[:2]
+        self._unix = sock.family == socket.AF_UNIX
+        host, port = (
+            ("localhost", 0) if self._unix else sock.getsockname()[:2]
+        )
         super().__init__(
             (host, port), handler_class, bind_and_activate=False
         )
@@ -593,6 +526,11 @@ class PooledWSGIServer(ThreadingMixIn, WSGIServer):
         self.server_port = port
         self.setup_environ()
         self.set_app(app)
+
+    def get_request(self) -> tuple[socket.socket, Any]:
+        conn, address = self.socket.accept()
+        # wsgiref's handler reads a (host, port) peer; a unix one has none.
+        return conn, ("localhost", 0) if self._unix else address
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +655,7 @@ def run_worker(
             service,
             shared,
             slot,
-            unix_rpc(control_path),
+            unix_http_transport(control_path),
             epoch=baseline_epoch,
             version=baseline_version,
         )
@@ -793,7 +731,7 @@ class WorkerPool:
         self.reuseport = False
         self._sock: socket.socket | None = None
         self._control_dir: str | None = None
-        self._control: ControlServer | None = None
+        self._control: PooledWSGIServer | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -822,9 +760,9 @@ class WorkerPool:
 
         ready_fds = [self._spawn(slot) for slot in range(self.workers)]
         self._await_ready(ready_fds)
-        # Accept worker RPCs only once every worker is up: nothing can
+        # Serve the workers only once every worker is up: nothing can
         # connect earlier, and the fork loop stays single-threaded.
-        self._control = ControlServer(control_sock, self.coordinator)
+        self._control = self.coordinator.serve(control_sock)
 
     def _spawn(self, slot: int) -> int:
         """Fork one worker; returns the parent's readiness-pipe read fd."""
@@ -988,7 +926,8 @@ class WorkerPool:
             del self._children[slot]
 
         if self._control is not None:
-            self._control.close()
+            self._control.shutdown()
+            self._control.server_close()
         if self._sock is not None:
             self._sock.close()
         if self._control_dir is not None:
@@ -999,7 +938,6 @@ class WorkerPool:
                 pass
 
         summary = self.service.metrics_snapshot()
-        summary["cluster"] = self.coordinator.cluster_document()
         if self.service.store is not None:
             # One snapshot, from the one process that owns the store —
             # the next boot replays an empty WAL suffix.

@@ -1,4 +1,4 @@
-"""Unit tests for grouping-module checkpoints (JSON + ``.npz`` persistence)."""
+"""Unit tests for grouping-module checkpoints (group-set JSON + ``.npz``)."""
 
 import json
 
@@ -9,22 +9,17 @@ from repro.core import (
     DatasetError,
     EBSWeights,
     build_instance,
-    greedy_select,
     instance_index,
     select_from_index,
-    subset_score,
 )
 from repro.core.persistence import (
     group_set_from_dict,
     group_set_to_dict,
-    instance_from_dict,
-    instance_to_dict,
     index_npz_mappable,
     load_index_npz,
-    load_instance,
     open_index_npz,
+    payload_checksum,
     save_index_npz,
-    save_instance,
 )
 
 
@@ -55,41 +50,19 @@ class TestGroupSetRoundtrip:
             group_set_from_dict({"format": "nope", "groups": []})
 
 
-class TestInstanceRoundtrip:
-    def test_selection_identical_after_roundtrip(
-        self, table2_repo, table2_instance
-    ):
-        restored = instance_from_dict(instance_to_dict(table2_instance))
-        original = greedy_select(table2_repo, table2_instance)
-        replay = greedy_select(table2_repo, restored)
-        assert replay.selected == original.selected
-        assert replay.score == original.score
-
-    def test_ebs_big_integers_survive_json(self, table2_repo, table2_groups):
-        instance = build_instance(
-            table2_repo, 2, groups=table2_groups, weight_scheme=EBSWeights()
+class TestPayloadChecksum:
+    def test_independent_of_key_order_and_whitespace(self, table2_groups):
+        document = group_set_to_dict(table2_groups)
+        reordered = json.loads(
+            json.dumps(dict(reversed(list(document.items()))), indent=2)
         )
-        # Force a real JSON round-trip (string encoding), not just dicts.
-        document = json.loads(json.dumps(instance_to_dict(instance)))
-        restored = instance_from_dict(document)
-        assert restored.wei == instance.wei
-        assert max(restored.wei.values()) == 3**15  # (B+1)^(16 groups - 1)
+        assert payload_checksum(reordered) == payload_checksum(document)
 
-    def test_save_load_files(self, table2_repo, table2_instance, tmp_path):
-        path = tmp_path / "instance.json"
-        save_instance(table2_instance, path)
-        restored = load_instance(path)
-        assert subset_score(restored, ["Alice", "Eve"]) == 17
-
-    def test_wrong_format_rejected(self):
-        with pytest.raises(DatasetError):
-            instance_from_dict({"format": "nope"})
-
-    def test_malformed_coverage_rejected(self, table2_instance):
-        document = instance_to_dict(table2_instance)
-        document["cov"] = {"broken": "much"}
-        with pytest.raises(DatasetError):
-            instance_from_dict(document)
+    def test_detects_an_edit(self, table2_groups):
+        document = group_set_to_dict(table2_groups)
+        edited = json.loads(json.dumps(document))
+        edited["groups"][0]["members"] = edited["groups"][0]["members"][1:]
+        assert payload_checksum(edited) != payload_checksum(document)
 
 
 class TestIndexNpzRoundtrip:
@@ -147,39 +120,6 @@ class TestIndexNpzRoundtrip:
 
 class TestCheckpointEnvelope:
     """Format-version + payload-checksum headers on every checkpoint."""
-
-    def test_header_written(self, table2_instance, tmp_path):
-        path = tmp_path / "instance.json"
-        save_instance(table2_instance, path)
-        document = json.loads(path.read_text())
-        assert document["format"] == "podium-instance-v1"
-        assert document["format_version"] == 2
-        assert isinstance(document["payload_crc32"], int)
-
-    def test_version_too_new_rejected(self, table2_instance, tmp_path):
-        path = tmp_path / "instance.json"
-        save_instance(table2_instance, path)
-        document = json.loads(path.read_text())
-        document["format_version"] = 99
-        path.write_text(json.dumps(document))
-        with pytest.raises(DatasetError, match="newer"):
-            load_instance(path)
-
-    def test_tampered_payload_rejected(self, table2_instance, tmp_path):
-        path = tmp_path / "instance.json"
-        save_instance(table2_instance, path)
-        document = json.loads(path.read_text())
-        document["payload"]["budget"] = 99  # edit without fixing the CRC
-        path.write_text(json.dumps(document))
-        with pytest.raises(DatasetError, match="checksum"):
-            load_instance(path)
-
-    def test_legacy_v1_bare_payload_loads(self, table2_instance, tmp_path):
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(instance_to_dict(table2_instance)))
-        loaded = load_instance(path)
-        assert loaded.budget == table2_instance.budget
-        assert loaded.wei == table2_instance.wei
 
     def _npz(self, table2_instance, tmp_path):
         index = instance_index(table2_instance)

@@ -131,7 +131,7 @@ def answers(tmp_path_factory):
     shared = SharedPoolState(1)
     coordinator = WriteCoordinator(writer, shared, None, False)
     worker = _service(repo)  # the forked clone: no store
-    runtime = WorkerRuntime(worker, shared, 0, coordinator.handle)
+    runtime = WorkerRuntime(worker, shared, 0, coordinator.request)
     pool = make_worker_app(worker, runtime)
     pairs = {}
     try:

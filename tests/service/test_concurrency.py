@@ -2,10 +2,11 @@
 
 Exercises the writer-preferring :class:`ReadWriteLock` under sustained
 reader pressure, then the multi-process invalidation protocol at two
-levels: an in-process variant (injectable RPC, real threads hammering
-``ensure_fresh`` against a live writer) and a forked variant (a real
-child process syncing over the unix control socket against shared-memory
-counters — the exact production topology, minus the HTTP layer).
+levels: an in-process variant (injectable transport, real threads
+hammering ``ensure_fresh`` against a live writer) and a forked variant
+(a real child process syncing over HTTP on the unix control socket
+against shared-memory counters — the exact production topology, minus
+the public listener).
 """
 
 import io
@@ -24,12 +25,11 @@ from repro.service import (
     ReadWriteLock,
 )
 from repro.service.workers import (
-    ControlServer,
     SharedPoolState,
     WorkerRuntime,
     WriteCoordinator,
     make_worker_app,
-    unix_rpc,
+    unix_http_transport,
 )
 from repro.storage import MemoryLog
 
@@ -51,7 +51,7 @@ def make_follower(shared, coordinator, slot=0):
         DiversificationConfiguration(name="two", budget=2)
     )
     runtime = WorkerRuntime(
-        service, shared, slot, coordinator.handle, epoch=0, version=0
+        service, shared, slot, coordinator.request, epoch=0, version=0
     )
     return service, runtime
 
@@ -280,15 +280,15 @@ class TestPoolPrimaryLog:
 )
 class TestInvalidationForked:
     def test_forked_worker_syncs_over_control_socket(self, tmp_path):
-        """The production topology without HTTP: a forked child holding
-        the pre-fork state syncs over a real unix socket when the
-        shared-memory version counter moves."""
+        """The production topology without a public listener: a forked
+        child holding the pre-fork state syncs over HTTP on a real unix
+        socket when the shared-memory version counter moves."""
         service, shared, changelog, coordinator = make_writer()
         control_path = str(tmp_path / "control.sock")
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(control_path)
         listener.listen(8)
-        control = ControlServer(listener, coordinator)
+        control = coordinator.serve(listener)
 
         read_fd, write_fd = os.pipe()
         pid = os.fork()
@@ -301,7 +301,7 @@ class TestInvalidationForked:
                     service,
                     shared,
                     slot=1,
-                    rpc=unix_rpc(control_path, timeout=10),
+                    send=unix_http_transport(control_path, timeout=10),
                     epoch=0,
                     version=0,
                 )
@@ -337,7 +337,8 @@ class TestInvalidationForked:
             _, exit_status = os.waitpid(pid, 0)
         finally:
             os.close(read_fd)
-            control.close()
+            control.shutdown()
+            control.server_close()
         assert exit_status == 0
         assert verdict == b"1"
         # The child's sync was counted in its shared slot.

@@ -286,13 +286,13 @@ def test_worker_catch_up_under_faults(fault):
     applied = _counting(worker)
     mangle = FaultyTail(fault)
 
-    def rpc(request):
-        reply = coordinator.handle(request)
-        if request["path"] != "/admin/wal":
-            return reply
-        return {**reply, "payload": mangle(reply["payload"])}
+    def send(method, path, query, body):
+        status, payload = coordinator.request(method, path, body, query)
+        if path != "/admin/wal":
+            return status, payload
+        return status, mangle(payload)
 
-    runtime = WorkerRuntime(worker, shared, 0, rpc, epoch=0, version=0)
+    runtime = WorkerRuntime(worker, shared, 0, send, epoch=0, version=0)
     installs = []
     adopt_full = runtime._adopt_full
     runtime._adopt_full = lambda: (installs.append(1), adopt_full())[1]
@@ -397,22 +397,20 @@ def test_sync_failure_mid_catch_up_serves_stale(failing_op):
     calls = {"wal": 0, "state": 0}
     broken = {"on": True}
 
-    def rpc(request):
-        op = request["path"].rsplit("/", 1)[-1]  # "wal" or "state"
+    def send(method, path, query, body):
+        op = path.rsplit("/", 1)[-1]  # "wal" or "state"
         calls[op] = calls.get(op, 0) + 1
         if broken["on"] and op == failing_op and (
             op == "state" or calls[op] == 2
         ):
             raise OSError("control socket reset")
-        reply = coordinator.handle(request)
+        status, payload = coordinator.request(method, path, body, query)
         if op == "wal" and failing_op == "wal":
             # One record per batch, so the catch-up needs a second call.
-            tail = reply["payload"]
-            tail = {**tail, "records": tail["records"][:1]}
-            reply = {**reply, "payload": tail}
-        return reply
+            payload = {**payload, "records": payload["records"][:1]}
+        return status, payload
 
-    runtime = WorkerRuntime(worker, shared, 0, rpc, epoch=0, version=0)
+    runtime = WorkerRuntime(worker, shared, 0, send, epoch=0, version=0)
     app = make_worker_app(worker, runtime)
     for delta in _deltas(repo, n=2, users=8, seed=9):
         coordinator.request(

@@ -21,6 +21,7 @@ from repro.service import (
     make_http_server,
     make_wsgi_app,
 )
+from repro.service.app import ROUTES, WRITE_ROUTES
 
 from .raw_http import post_declaring_length
 
@@ -240,6 +241,26 @@ class TestErrorPayloads:
         # The body was never read: read(-1) would have consumed it.
         assert environ["wsgi.input"].tell() == 0
 
+    def test_bad_requests_to_unknown_paths_share_one_route_key(
+        self, service
+    ):
+        app = make_wsgi_app(service)
+        for i in range(5):
+            environ = {
+                "REQUEST_METHOD": "GET",
+                "PATH_INFO": f"/random-{i}",
+                "QUERY_STRING": "",
+                "CONTENT_LENGTH": "-1",
+                "wsgi.input": io.BytesIO(b""),
+            }
+            statuses = []
+            app(environ, lambda status, headers: statuses.append(status))
+            assert statuses == ["400 Bad Request"]
+        requests = service.metrics.snapshot()["requests"]
+        assert list(requests) == ["<unmatched>"]
+        assert requests["<unmatched>"]["count"] == 5
+        assert WRITE_ROUTES <= ROUTES.keys()
+
     def test_unexpected_failure_is_json_500(self, service):
         app = make_wsgi_app(service)
 
@@ -360,9 +381,12 @@ class TestCaching:
             "POST", "/configurations", {"name": "two", "budget": 3}
         )
         assert "default" in service.stats()["cached_configurations"]
-        assert "two" not in service.stats()["cached_configurations"]
+        # Regrouped at the record: the entry is new and holds no instance.
+        assert "two" in service.stats()["cached_configurations"]
         client("POST", "/select", {"configuration": "default"})
         assert service.metrics.cache_hits == 1
+        client("POST", "/select", {"configuration": "two"})
+        assert service.metrics.cache_misses == 3
 
 
 class TestProfileDelta:

@@ -10,6 +10,7 @@ recovery, a pool worker's full resync, a follower's bootstrap — and
 asserts the receiver selects exactly like the source.
 """
 
+import io
 import json
 import threading
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core.profiles import UserProfile
 from repro.core.updates import ProfileDelta, profile_delta_to_dict
+from repro.datasets.io import profiles_to_dict
 from repro.datasets.synth import generate_profile_repository
 from repro.service import (
     DiversificationConfiguration,
@@ -29,6 +31,7 @@ from repro.service.workers import (
     SharedPoolState,
     WorkerRuntime,
     WriteCoordinator,
+    make_worker_app,
 )
 from repro.storage import DurableRepositoryStore, MemoryLog
 
@@ -131,7 +134,7 @@ def test_pool_full_resync_after_ring_overflow():
     worker = _service(_repo())  # the forked clone of the pre-delta writer
     _warm(worker)
     runtime = WorkerRuntime(
-        worker, shared, 0, coordinator.handle, epoch=0, version=0
+        worker, shared, 0, coordinator.request, epoch=0, version=0
     )
     for delta in _deltas(_repo()):
         status, _ = coordinator.request(
@@ -193,3 +196,72 @@ def test_follower_restart_right_after_bootstrap(primary, tmp_path):
         assert _selections(restarted) == _selections(source)
     finally:
         reopened.close()
+
+
+def _two_worker_pool(repo):
+    """An in-process store-less pool: a writer and two forked clones."""
+    writer = PodiumService(repo)
+    writer.warm_artifacts()
+    shared = SharedPoolState(2)
+    coordinator = WriteCoordinator(writer, shared, MemoryLog(), False)
+    apps = []
+    for slot in range(2):
+        clone = PodiumService(repo)
+        clone.warm_artifacts()
+        runtime = WorkerRuntime(
+            clone, shared, slot, coordinator.request, epoch=0, version=0
+        )
+        apps.append(make_worker_app(clone, runtime))
+    return apps
+
+
+def _post(app, path, document):
+    body = json.dumps(document).encode()
+    status = []
+    chunks = app(
+        {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": path,
+            "QUERY_STRING": "",
+            "CONTENT_LENGTH": str(len(body)),
+            "wsgi.input": io.BytesIO(body),
+        },
+        lambda line, headers: status.append(line),
+    )
+    assert status[0].startswith(("200", "201")), status
+    return json.loads(b"".join(chunks))
+
+
+def _diverge_probe(repo, first_write, name):
+    """Write, select on worker A only, remove 160 users, then have both
+    workers answer the same ``/select`` on ``name``."""
+    worker_a, worker_b = _two_worker_pool(repo)
+    _post(worker_a, *first_write)
+    select = {"configuration": name, "budget": 6, "explain": False}
+    _post(worker_a, "/select", select)
+    removed = sorted(repo.user_ids)[::2][:160]
+    _post(worker_a, "/profiles/delta", {"removals": removed})
+    return [_post(app, "/select", select) for app in (worker_a, worker_b)]
+
+
+POOL_REPO = dict(
+    n_users=400, n_properties=20, mean_profile_size=8.0, seed=5
+)
+
+
+def test_pool_workers_agree_on_a_configuration_put_before_deltas():
+    """A put is grouped at the record, not on one worker's first read:
+    a worker that read it before a delta answers like one that did not."""
+    repo = generate_profile_repository(**POOL_REPO)
+    late = {"name": "late", "budget": 6}
+    answers = _diverge_probe(repo, ("/configurations", late), "late")
+    assert answers[0] == answers[1]
+
+
+def test_store_less_pool_workers_agree_after_a_new_epoch():
+    """``POST /profiles`` on a store-less pool groups on the writer, so
+    every worker adopts the same buckets, read or not before a delta."""
+    repo = generate_profile_repository(**POOL_REPO)
+    load = ("/profiles", profiles_to_dict(repo))
+    answers = _diverge_probe(repo, load, "default")
+    assert answers[0] == answers[1]

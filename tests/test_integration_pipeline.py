@@ -19,8 +19,6 @@ from repro.core import (
     custom_select,
     explain_selection,
     greedy_select,
-    instance_from_dict,
-    instance_to_dict,
     subset_score,
 )
 from repro.datasets import (
@@ -90,16 +88,6 @@ class TestPipeline:
             assert user in must_have.members
             if must_not:
                 assert user not in must_not.members
-
-    def test_instance_checkpoint_replays_identically(self, pipeline):
-        _, repo, _, instance = pipeline
-        restored = instance_from_dict(
-            json.loads(json.dumps(instance_to_dict(instance)))
-        )
-        assert (
-            greedy_select(repo, restored).selected
-            == greedy_select(repo, instance).selected
-        )
 
     def test_service_agrees_with_library(self, pipeline, tmp_path):
         _, repo, _, instance = pipeline
