@@ -14,6 +14,11 @@ two crash-safety promises over actual HTTP and actual process death:
   must be present after a cold reopen; the repository may additionally
   contain deltas that hit the WAL but whose ack was lost in flight —
   durability-before-ack allows that, never the reverse.
+* **A put survives SIGKILL with its buckets** — a configuration is put,
+  a delta removes 160 of 400 users (moving the boundaries a regroup
+  would draw), and the server is killed with no snapshot since the put.
+  The rebooted server must answer that configuration's ``/select``
+  exactly as before the kill.
 
 Run from the repository root::
 
@@ -22,6 +27,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -155,16 +161,17 @@ def check_sigkill_durability(tmp, env, profiles):
     acked = []
 
     def spam():
-        # The stream ends at the kill: a lost connection, or a 503 from
-        # a pool worker that outlived its writer.  Neither fails the run.
+        # The stream ends at the kill: a lost connection, a reply the
+        # kill cut short, or a 503 from a pool worker that outlived its
+        # writer.  None of them fails the run or counts as an ack.
         for i in range(10_000):
             try:
                 status, payload = send(port, "/profiles/delta", delta_body(i))
-            except OSError:
+                if status != 200:
+                    return
+                ack = json.loads(payload)
+            except (OSError, http.client.HTTPException, ValueError):
                 return
-            if status != 200:
-                return
-            ack = json.loads(payload)
             if ack.get("durable"):
                 acked.append(ack["wal_seq"])
 
@@ -203,6 +210,47 @@ def check_sigkill_durability(tmp, env, profiles):
     )
 
 
+def check_put_survives_sigkill(tmp, env):
+    from repro.datasets.io import save_profiles
+    from repro.datasets.synth import generate_profile_repository
+
+    repo = generate_profile_repository(400, 20, 8, seed=5)
+    profiles = os.path.join(tmp, "profiles-400.json")
+    save_profiles(repo, profiles)
+    data_dir = os.path.join(tmp, "data-put")
+    args = ["--budget", "2", "--data-dir", data_dir]
+    put = json.dumps({"name": "late", "budget": 6}).encode()
+    removals = json.dumps(
+        {"removals": sorted(repo.user_ids)[::2][:160]}
+    ).encode()
+    select_body = json.dumps(
+        {"configuration": "late", "budget": 6, "explain": False}
+    ).encode()
+    server, port = boot(["--profiles", profiles, *args], env)
+    try:
+        request(port, "/configurations", put, expect_status=201)
+        request(port, "/profiles/delta", removals)
+        want = request(port, "/select", select_body)
+    finally:
+        server.send_signal(signal.SIGKILL)  # no snapshot since the put
+        server.wait()
+
+    server, port = boot(args, env)
+    try:
+        got = request(port, "/select", select_body)
+        if (got["selected"], got["score"]) != (
+            want["selected"],
+            want["score"],
+        ):
+            fail(
+                f"put regrouped on recovery: score {got['score']} "
+                f"!= {want['score']} before the kill"
+            )
+    finally:
+        stop(server)
+    print(f"ingest-smoke: put survives SIGKILL OK (score {want['score']})")
+
+
 def main() -> None:
     sys.path.insert(0, SRC)
     from repro.datasets import example_repository
@@ -214,6 +262,7 @@ def main() -> None:
         env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
         check_restart_identity(tmp, env, profiles)
         check_sigkill_durability(tmp, env, profiles)
+        check_put_survives_sigkill(tmp, env)
     print("ingest-smoke: OK")
 
 

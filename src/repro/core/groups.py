@@ -20,7 +20,6 @@ import numpy as np
 
 from .buckets import (
     Bucket,
-    assign_bucket_indices,
     is_boolean,
     partition_from_splits,
     split_scores,
@@ -275,6 +274,38 @@ class GroupingConfig:
             )
 
 
+#: The ordered kept ``(property label, bucket)`` pairs of a group set.
+Grouping = tuple[tuple[str, Bucket], ...]
+
+
+def grouping_of(groups: GroupSet) -> Grouping:
+    """The kept ``(label, bucket)`` pairs of simple ``groups``, in order."""
+    return tuple((g.key.property_label, g.bucket) for g in groups)
+
+
+def groups_from_grouping(
+    repository: UserRepository, grouping: Grouping
+) -> GroupSet:
+    """The groups of ``grouping`` over ``repository``, in its order.
+
+    Members are the users whose score for the property lies in the
+    bucket, found with one score vector per run of a property's buckets
+    and an array mask per bucket, so the buckets need not tile ``[0, 1]``.
+    """
+    groups, current = GroupSet(), None
+    for label, bucket in grouping:
+        if label != current:
+            current, held = label, repository.support(label) > 0
+            user_ids, scores = (
+                repository.scores_for(label) if held else ((), ())
+            )
+            ids, scores = np.array(user_ids, dtype=object), np.asarray(scores)
+        below = scores <= bucket.hi if bucket.closed_hi else scores < bucket.hi
+        members = frozenset(ids[(scores >= bucket.lo) & below].tolist())
+        groups.add(Group(GroupKey(label, bucket.label), members, bucket))
+    return groups
+
+
 def build_simple_groups(
     repository: UserRepository,
     config: GroupingConfig | None = None,
@@ -284,41 +315,25 @@ def build_simple_groups(
     This is the offline pre-processing step of Fig. 1: for each property
     ``p`` with enough support, compute ``β(p)`` with the configured
     splitting strategy and materialize one :class:`Group` per non-empty
-    bucket.
+    bucket through :func:`groups_from_grouping`.
     """
     config = config or GroupingConfig()
-    group_set = GroupSet()
+    grouping: list[tuple[str, Bucket]] = []
     for label in repository.property_labels:
         if repository.support(label) < config.min_support:
             continue
-        user_ids, scores = repository.scores_for(label)
+        _, scores = repository.scores_for(label)
         if config.fixed_splits is not None and not is_boolean(scores):
             buckets = partition_from_splits(config.fixed_splits)
         else:
             buckets = split_scores(
                 scores, k=config.buckets_per_property, strategy=config.strategy
             )
-        assignment = assign_bucket_indices(buckets, scores)
-        if assignment is None:
-            memberships = [
-                frozenset(
-                    user_id
-                    for user_id, score in zip(user_ids, scores)
-                    if bucket.contains(float(score))
-                )
-                for bucket in buckets
-            ]
-        else:
-            ids = np.asarray(user_ids, dtype=object)
-            memberships = [
-                frozenset(ids[assignment == position].tolist())
-                for position in range(len(buckets))
-            ]
-        for bucket, members in zip(buckets, memberships):
-            if config.drop_empty and not members:
-                continue
-            group_set.add(Group(GroupKey(label, bucket.label), members, bucket))
-    return group_set
+        grouping.extend((label, bucket) for bucket in buckets)
+    groups = groups_from_grouping(repository, tuple(grouping))
+    if config.drop_empty:
+        groups = GroupSet(group for group in groups if group.members)
+    return groups
 
 
 def intersect_groups(groups: Iterable[Group]) -> Group:

@@ -2,9 +2,9 @@
 
 The grouping module runs "in an offline process"; its output is worth
 persisting so the selection module can restart without re-bucketing.
-:func:`group_set_to_dict` / :func:`group_set_from_dict` serialize a
-frozen group set to plain JSON (a snapshot stores one per
-configuration, checksummed with :func:`payload_checksum`).
+:func:`grouping_to_dict` / :func:`grouping_from_dict` serialize the
+kept buckets of a group set to JSON (one per snapshot configuration,
+checksummed with :func:`payload_checksum`, and one per config record).
 
 The CSR arrays of a large instance are tens of megabytes of integers
 that JSON would serialize as text and rebuild through Python objects.
@@ -23,6 +23,7 @@ import struct
 import zipfile
 import zlib
 from collections.abc import Mapping, Sequence
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -33,10 +34,11 @@ if TYPE_CHECKING:  # circular at runtime: storage builds on core
 
 from .buckets import Bucket
 from .errors import DatasetError
-from .groups import Group, GroupKey, GroupSet
+from .groups import GroupKey, Grouping
 from .index import InstanceIndex
 
-_GROUPS_FORMAT = "podium-groups-v1"
+_GROUPING_FORMAT = "podium-grouping-v1"
+_MEMBER_LIST_FORMAT = "podium-groups-v1"  # the same, plus member lists
 _INDEX_FORMAT = "podium-index-npz-v1"
 
 #: Checkpoint-envelope version written by :func:`save_index_npz`.
@@ -59,63 +61,32 @@ def payload_checksum(payload: dict[str, Any]) -> int:
     return zlib.crc32(canonical) & 0xFFFFFFFF
 
 
-def _bucket_to_dict(bucket: Bucket | None) -> dict[str, Any] | None:
-    if bucket is None:
-        return None
+def grouping_to_dict(grouping: Grouping) -> dict[str, Any]:
+    """Serialize a grouping: each kept bucket with its property label."""
     return {
-        "lo": bucket.lo,
-        "hi": bucket.hi,
-        "label": bucket.label,
-        "closed_hi": bucket.closed_hi,
-    }
-
-
-def _bucket_from_dict(data: dict[str, Any] | None) -> Bucket | None:
-    if data is None:
-        return None
-    return Bucket(
-        lo=float(data["lo"]),
-        hi=float(data["hi"]),
-        label=str(data["label"]),
-        closed_hi=bool(data["closed_hi"]),
-    )
-
-
-def group_set_to_dict(groups: GroupSet) -> dict[str, Any]:
-    """Serialize a group set (keys, members, buckets, labels)."""
-    return {
-        "format": _GROUPS_FORMAT,
+        "format": _GROUPING_FORMAT,
         "groups": [
-            {
-                "property": g.key.property_label,
-                "bucket_label": g.key.bucket_label,
-                "members": sorted(g.members),
-                "bucket": _bucket_to_dict(g.bucket),
-                "label": g.label,
-            }
-            for g in groups
+            {"property": label, "bucket": asdict(bucket)}
+            for label, bucket in grouping
         ],
     }
 
 
-def group_set_from_dict(document: dict[str, Any]) -> GroupSet:
-    """Rebuild a group set serialized by :func:`group_set_to_dict`."""
-    if document.get("format") != _GROUPS_FORMAT:
+def grouping_from_dict(document: dict[str, Any]) -> Grouping:
+    """Rebuild a grouping serialized by :func:`grouping_to_dict`, or by
+    the earlier member-list format, whose member lists are ignored."""
+    if document.get("format") not in (_GROUPING_FORMAT, _MEMBER_LIST_FORMAT):
         raise DatasetError(
-            f"expected format {_GROUPS_FORMAT!r}, got {document.get('format')!r}"
+            f"expected format {_GROUPING_FORMAT!r}, "
+            f"got {document.get('format')!r}"
         )
     try:
-        return GroupSet(
-            Group(
-                GroupKey(str(g["property"]), str(g["bucket_label"])),
-                frozenset(g["members"]),
-                _bucket_from_dict(g.get("bucket")),
-                str(g.get("label", "")),
-            )
-            for g in document["groups"]
+        return tuple(
+            (str(entry["property"]), Bucket(**entry["bucket"]))
+            for entry in document["groups"]
         )
     except (KeyError, TypeError) as exc:
-        raise DatasetError(f"malformed group document: {exc}") from exc
+        raise DatasetError(f"malformed grouping document: {exc}") from exc
 
 
 def _index_checksum(arrays: dict[str, np.ndarray]) -> int:

@@ -194,9 +194,8 @@ class UserRepository:
         entries = self._index.get(label)
         if not entries:
             raise UnknownPropertyError(f"no user has property {label!r}")
-        ids = list(entries)
-        return ids, np.fromiter(
-            (entries[u] for u in ids), dtype=float, count=len(ids)
+        return list(entries), np.fromiter(
+            entries.values(), dtype=float, count=len(entries)
         )
 
     # -- statistics ---------------------------------------------------------

@@ -98,7 +98,13 @@ from ..core.errors import (
 )
 from ..core.explanations import explain_selection
 from ..core.greedy import SelectionResult, greedy_select, select_from_index
-from ..core.groups import GroupKey, GroupSet, build_simple_groups
+from ..core.groups import (
+    GroupKey,
+    GroupSet,
+    build_simple_groups,
+    grouping_of,
+    groups_from_grouping,
+)
 from ..core.index import InstanceIndex, attach_index, instance_index
 from ..core.instance import DiversificationInstance
 from ..core.profiles import UserProfile, UserRepository
@@ -110,7 +116,7 @@ from ..core.updates import (
     rebuild_instance,
 )
 from ..core.weights import Weight
-from ..core.persistence import index_source_path
+from ..core.persistence import grouping_from_dict, index_source_path
 from ..storage import (
     KIND_CONFIG,
     KIND_DELTA,
@@ -235,11 +241,12 @@ class _Trajectory:
 class _ConfigArtifacts:
     """Every serving artifact of one configuration, with one lifetime.
 
-    The frozen ``groups`` are the configuration's one durable artifact;
-    the tables below are derived from them, memoized on first use by
-    :meth:`PodiumService._memo` and dropped together when the entry is
-    replaced (a delta, a re-put configuration, a new state), so every
-    entry in the cache belongs to the current repository generation.  An
+    The ``groups`` hold the members of the configuration's grouping, its
+    one durable artifact; the tables below are derived from them,
+    memoized on first use by :meth:`PodiumService._memo` and dropped
+    together when the entry is replaced (a delta, a re-put
+    configuration, a new state), so every entry in the cache belongs to
+    the current repository generation.  An
     entry is valid while its configuration object is still the stored
     one and its group set has not been mutated in place
     (``GroupSet.version``).
@@ -253,7 +260,7 @@ class _ConfigArtifacts:
 
     config: DiversificationConfiguration
     groups: GroupSet
-    groups_version: int
+    groups_version: int = field(init=False)
     #: Instance key → instance, its sparse index pre-warmed on it.
     instances: dict[int, DiversificationInstance] = field(
         default_factory=dict
@@ -272,6 +279,9 @@ class _ConfigArtifacts:
     maintainers: dict[int, StreamingMaintainer] = field(
         default_factory=dict
     )
+
+    def __post_init__(self) -> None:
+        self.groups_version = self.groups.version
 
 
 class PodiumService:
@@ -336,9 +346,9 @@ class PodiumService:
     def load_repository(self, repository: UserRepository) -> None:
         """Swap the user repository wholesale (a new epoch).
 
-        Goes through :meth:`install_state` with no frozen groups: every
+        Goes through :meth:`install_state` with no groupings: every
         configuration regroups against the new population, and a store
-        snapshots the new epoch with those groups.
+        snapshots the new epoch with those groupings.
         """
         self.install_state(SnapshotState(repository=repository))
 
@@ -349,10 +359,9 @@ class PodiumService:
         stored ones the boot did not register come back, and a name the
         boot registered keeps the boot's definition.  See
         :meth:`install_state` for the adoption rule.  Restoring the
-        frozen group sets is what makes a restarted process answer
-        ``/select`` identically: a fresh regroup could legally draw
-        different bucket boundaries than the incremental reassignment
-        path did before the restart.
+        groupings is what makes a restarted process answer ``/select``
+        identically: a fresh regroup could legally draw different bucket
+        boundaries than the ones served before the restart.
         """
         if self.store is None:
             return []
@@ -374,7 +383,7 @@ class PodiumService:
         base_seq: int | None = None,
         new_epoch: bool = True,
     ) -> list[str]:
-        """Install a whole serving state: repository plus frozen groups.
+        """Install a whole serving state: repository plus groupings.
 
         The one path every wholesale change takes: boot recovery
         (:meth:`restore_artifacts`), a profile load
@@ -384,16 +393,16 @@ class PodiumService:
         adopting a sender's registry).  Each artifact is adopted only
         when its stored configuration dict equals the registered
         configuration's — a changed configuration must regroup, not
-        serve stale buckets.  Its index, when present, is attached to
-        the default-budget instance.
+        serve stale buckets.  Its members derive from its grouping; its
+        index, when present, is attached to the default-budget instance.
 
         With ``new_epoch`` true (everything but recovery, where the
         store already holds this state) a process with a change log
         groups every registered configuration and starts a new epoch:
-        a store snapshots it with those groups and the registry
+        a store snapshots it with those groupings and the registry
         (``base_seq`` aligns its sequence numbering with a replication
         primary's), and the processes tailing the log install the same
-        groups.
+        groupings.
 
         Returns the sorted names of the adopted artifacts.
         """
@@ -437,12 +446,9 @@ class PodiumService:
     def _adopt_artifact(self, name: str, artifact: SnapshotArtifact) -> None:
         """Seed one cache entry from a frozen artifact (write lock held)."""
         config = self._configurations.get(name)
-        entry = _ConfigArtifacts(
-            config=config,
-            groups=artifact.groups,
-            groups_version=artifact.groups.version,
+        entry = self._cache[name] = _ConfigArtifacts(
+            config, groups_from_grouping(self._repository, artifact.grouping)
         )
-        self._cache[name] = entry
         if artifact.index is not None:
             started = time.perf_counter()
             self._instance(
@@ -479,6 +485,8 @@ class PodiumService:
         pool worker catching up, a follower applying a shipped record.
         A store WAL-appends it (validated, fsynced) before any state
         changes; a store-less pool writer logs it in memory once applied.
+        A config record without ``buckets`` is grouped and logged with
+        them; one with them (not the writer's) materializes them.
         """
         started = time.perf_counter()
         wal_seconds = 0.0
@@ -491,14 +499,18 @@ class PodiumService:
                 config = DiversificationConfiguration.from_dict(
                     payload.get("config") or {}
                 )
-                # Grouped at the record, not on some process's first
-                # read: every process applying it freezes the same
-                # buckets, so later deltas keep them answering alike.
-                entry = (
-                    None
-                    if self._repository is None
-                    else self._group(config, StageTimer())
-                )
+                # Grouped at the record, not on a first read: every
+                # process applying it serves the same buckets.
+                entry = None
+                if self._repository is not None and "buckets" in payload:
+                    grouping = grouping_from_dict(payload["buckets"])
+                    groups = groups_from_grouping(self._repository, grouping)
+                    entry = _ConfigArtifacts(config, groups)
+                elif self._repository is not None:
+                    entry = self._group(config, StageTimer())
+                    payload = config_record(
+                        config.to_dict(), grouping_of(entry.groups)
+                    )
             else:
                 raise ServiceError(f"unknown change record kind {kind!r}")
             if self.store is not None:
@@ -552,10 +564,7 @@ class PodiumService:
                 continue
             groups = reassign_groups(entry.groups, repository, delta)
             fresh = self._cache[name] = _ConfigArtifacts(
-                config=entry.config,
-                groups=groups,
-                groups_version=groups.version,
-                maintainers=entry.maintainers,
+                entry.config, groups, maintainers=entry.maintainers
             )
             for budget, maintainer in fresh.maintainers.items():
                 maintainer.refresh(self._index(fresh, budget, timer), touched)
@@ -578,7 +587,7 @@ class PodiumService:
         """The ``GET /admin/state`` document of the whole serving state.
 
         The JSON :class:`~repro.storage.SnapshotState` (repository,
-        frozen groups, registry) plus the change log's ``wal_seq`` and
+        groupings, registry) plus the change log's ``wal_seq`` and
         ``reset_epoch``, read under one lock.  A pool worker's full
         install and a follower's bootstrap hand it to
         :meth:`install_state`, so the receiver serves the sender's bucket
@@ -662,7 +671,7 @@ class PodiumService:
     def _export_artifacts(self) -> dict[str, SnapshotArtifact]:
         """Freeze the cached serving artifacts for the store.
 
-        Each configuration contributes its frozen group set plus, when
+        Each configuration contributes its grouping plus, when
         the default-budget instance has been built and is vectorizable,
         its cached CSR index — so a recovered process can serve the
         first ``/select`` without re-encoding anything.
@@ -677,7 +686,7 @@ class PodiumService:
                     index = built
             exported[name] = SnapshotArtifact(
                 config=entry.config.to_dict(),
-                groups=entry.groups,
+                grouping=grouping_of(entry.groups),
                 index=index,
             )
         return exported
@@ -918,9 +927,7 @@ class PodiumService:
                     for profile in repository
                 )
             groups = build_simple_groups(repository, config.grouping_config())
-        return _ConfigArtifacts(
-            config=config, groups=groups, groups_version=groups.version
-        )
+        return _ConfigArtifacts(config, groups)
 
     def _instance(
         self,

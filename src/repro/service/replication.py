@@ -2,14 +2,14 @@
 
 A follower boots with ``repro serve --follow http://primary:port``: it
 performs one full state transfer (``GET /admin/state`` — profiles,
-configurations, every cached configuration's frozen group set and the
+configurations, every cached configuration's grouping and the
 primary's WAL position), then a background thread polls
 ``GET /admin/wal?from_seq=<applied>`` and applies every shipped record —
 a profile delta or a configuration put — through
 :meth:`~repro.service.app.PodiumService.apply_record`, the one path a
 change takes into serving state in every process.  A delta thereby runs
-the same :func:`~repro.core.updates.apply_delta_to_repository` +
-``reassign_groups`` machinery a recovery replay uses.  The transfer is
+the primary's ``reassign_groups`` machinery, and a put materializes the
+``buckets`` the primary drew, never a split strategy.  The transfer is
 installed through :meth:`~repro.service.app.PodiumService.install_state`,
 the path boot recovery takes, so the follower keeps the primary's bucket
 boundaries instead of regrouping; that is what makes the standby's
@@ -24,7 +24,7 @@ The primary's WAL sequence numbers are globally contiguous (numbering
 survives compaction, snapshots and restarts), so a follower running its
 own ``--data-dir`` bootstraps its store at the primary's position
 (``install_state(..., base_seq=primary_wal_seq)``, whose epoch snapshot
-keeps the shipped groups and registry) and then logs each shipped
+keeps the shipped groupings and registry) and then logs each shipped
 record into its *own* WAL — which assigns exactly the shipped sequence
 number.  Any divergence between shipped and locally-assigned sequence
 is a protocol violation and raises.

@@ -11,16 +11,14 @@ did before a restart:
       snap-000000000042/
         manifest.json      # generation, wal_seq, registry, per-config metadata
         profiles.json      # full repository (podium-profiles-v1)
-        groups-<name>.json # frozen bucket group set per configuration
+        groups-<name>.json # grouping per configuration (podium-grouping-v1)
         index-<name>.npz   # optional cached CSR index per configuration
 
-Frozen group sets are part of the snapshot because restart-identical
-selection depends on them: bucket boundaries computed by the grouping
-module drift as the population changes, so a post-restart *re-grouping*
-could legally pick different boundaries than the incremental
-reassignment path did.  Persisting the buckets (and replaying
-post-snapshot deltas through the same ``reassign_groups`` code) removes
-that degree of freedom.
+Groupings (kept buckets, no members) are part of the snapshot because
+restart-identical selection depends on them: boundaries a regroup draws
+drift as the population changes.  Members derive from the grouping and
+the repository (:func:`~repro.core.groups.groups_from_grouping`); a
+``groups-*.json`` with member lists (``podium-groups-v1``) still loads.
 
 Writes are atomic *and power-loss safe*: every staged file is written
 and fsynced, the stage directory is fsynced, the stage is renamed to a
@@ -49,12 +47,12 @@ from pathlib import Path
 from typing import Any
 
 from ..core.errors import DatasetError, StorageError
-from ..core.groups import GroupSet
+from ..core.groups import Grouping
 from ..core.index import InstanceIndex
 from ..core.persistence import (
     CHECKPOINT_VERSION,
-    group_set_from_dict,
-    group_set_to_dict,
+    grouping_from_dict,
+    grouping_to_dict,
     index_npz_mappable,
     load_index_npz,
     open_index_npz,
@@ -75,7 +73,7 @@ class SnapshotArtifact:
     """One configuration's frozen serving state inside a snapshot."""
 
     config: dict[str, Any]  # DiversificationConfiguration.to_dict()
-    groups: GroupSet
+    grouping: Grouping
     index: InstanceIndex | None = None
 
 
@@ -96,9 +94,9 @@ def snapshot_state_to_dict(state: SnapshotState) -> dict[str, Any]:
 
     Uses the serializers the snapshot files do: the repository as a
     ``podium-profiles-v1`` document, each artifact as its config dict
-    plus its frozen group set, and the registry as a list of config
-    dicts.  A receiver rebuilds indexes lazily, as recovery does after a
-    WAL replay.
+    plus its grouping, and the registry as a list of config dicts.  A
+    receiver derives members and rebuilds indexes, as recovery does
+    after a WAL replay.
     """
     return {
         "configurations": list(state.configurations.values()),
@@ -106,7 +104,7 @@ def snapshot_state_to_dict(state: SnapshotState) -> dict[str, Any]:
         "artifacts": {
             name: {
                 "config": artifact.config,
-                "groups": group_set_to_dict(artifact.groups),
+                "groups": grouping_to_dict(artifact.grouping),
             }
             for name, artifact in state.artifacts.items()
         },
@@ -118,7 +116,7 @@ def snapshot_state_from_dict(document: dict[str, Any]) -> SnapshotState:
     """Rebuild a state serialized by :func:`snapshot_state_to_dict`.
 
     A document without ``artifacts`` (an older sender) decodes to a
-    state with no frozen groups: the receiver regroups.
+    state with no groupings: the receiver regroups.
     """
     return SnapshotState(
         configurations={
@@ -129,7 +127,7 @@ def snapshot_state_from_dict(document: dict[str, Any]) -> SnapshotState:
         artifacts={
             name: SnapshotArtifact(
                 config=dict(doc.get("config") or {}),
-                groups=group_set_from_dict(doc["groups"]),
+                grouping=grouping_from_dict(doc["groups"]),
             )
             for name, doc in (document.get("artifacts") or {}).items()
         },
@@ -253,7 +251,7 @@ def write_snapshot(
     )
     configs: dict[str, dict[str, Any]] = {}
     for cfg_name, artifact in state.artifacts.items():
-        groups_doc = group_set_to_dict(artifact.groups)
+        groups_doc = grouping_to_dict(artifact.grouping)
         fs.write_bytes(
             stage / f"groups-{cfg_name}.json", json.dumps(groups_doc).encode()
         )
@@ -403,7 +401,7 @@ def load_snapshot(path: str | Path) -> SnapshotState:
                 ) from exc
         artifacts[cfg_name] = SnapshotArtifact(
             config=dict(meta.get("config") or {}),
-            groups=group_set_from_dict(groups_doc),
+            grouping=grouping_from_dict(groups_doc),
             index=index,
         )
     return SnapshotState(

@@ -3,12 +3,13 @@
 :class:`DurableRepositoryStore` is the facade the serving layer and the
 CLI talk to.  On open it recovers the newest snapshot (if any), then
 replays every WAL record with a sequence number past the snapshot's
-``wal_seq`` — through the *same* incremental-update code the live path
-uses (:func:`apply_delta_to_repository` + :func:`reassign_groups`), so a
-recovered process holds byte-identical serving state.
-
-A WAL record is a profile delta or a configuration put, which registers
-the definition and drops the name's frozen artifact.
+``wal_seq``: a profile delta through the live path's
+:func:`apply_delta_to_repository` (groupings keep their buckets; stale
+indexes are dropped), a configuration put by registering it with its
+record's ``buckets``, the grouping the writer drew, as the name's
+artifact (a record without them drops the artifact: the name regroups).
+The serving layer derives members from each grouping and the recovered
+repository, so a recovered process serves the buckets it served before.
 
 Durability contract: :meth:`log` validates a record against the current
 state and writes it to the WAL (fsync by default); :meth:`append` then
@@ -35,8 +36,10 @@ from ..core.updates import (
     apply_delta_to_repository,
     profile_delta_from_dict,
     profile_delta_to_dict,
-    reassign_groups,
+    reassign_groups,  # noqa: F401 — perfbench/traced_serve.py patches it
 )
+from ..core.groups import Grouping
+from ..core.persistence import grouping_from_dict, grouping_to_dict
 from .faults import REAL_FS, FilesystemShim
 from .snapshot import (
     SnapshotArtifact,
@@ -57,9 +60,15 @@ def delta_record(delta: ProfileDelta) -> dict[str, Any]:
     return {"kind": KIND_DELTA, "delta": profile_delta_to_dict(delta)}
 
 
-def config_record(config: dict[str, Any]) -> dict[str, Any]:
-    """The change-log record of a configuration put (its ``to_dict``)."""
-    return {"kind": KIND_CONFIG, "config": config}
+def config_record(
+    config: dict[str, Any], grouping: Grouping | None = None
+) -> dict[str, Any]:
+    """The change-log record of a configuration put (its ``to_dict``),
+    carrying the grouping the writer drew for it as ``buckets``."""
+    record = {"kind": KIND_CONFIG, "config": config}
+    if grouping is not None:
+        record["buckets"] = grouping_to_dict(grouping)
+    return record
 
 
 class DurableRepositoryStore:
@@ -114,13 +123,6 @@ class DurableRepositoryStore:
                 continue  # already folded into the snapshot
             self._apply(record.payload)
             self.replayed_records += 1
-        if self.replayed_records:
-            # Any cached indexes in the snapshot predate the replayed
-            # deltas; drop them rather than serve stale incidence.
-            self.artifacts = {
-                name: SnapshotArtifact(a.config, a.groups, index=None)
-                for name, a in self.artifacts.items()
-            }
         self.replay_seconds = time.monotonic() - started
 
     # -- recovery ----------------------------------------------------------
@@ -143,6 +145,8 @@ class DurableRepositoryStore:
         kind = payload.get("kind")
         if kind not in (KIND_DELTA, KIND_CONFIG):
             raise StorageError(f"unknown WAL record kind {kind!r}")
+        if "buckets" in payload:
+            grouping_from_dict(payload["buckets"])  # replay must parse it
         for user_id in (payload.get("delta") or {}).get("removals", ()):
             if user_id not in self.repository:
                 raise UnknownUserError(
@@ -155,18 +159,20 @@ class DurableRepositoryStore:
         if kind == KIND_CONFIG:
             config = dict(payload["config"])
             self.configurations[config["name"]] = config
-            self.artifacts.pop(config["name"], None)
+            if "buckets" in payload:
+                self.artifacts[config["name"]] = SnapshotArtifact(
+                    config, grouping_from_dict(payload["buckets"])
+                )
+            else:
+                self.artifacts.pop(config["name"], None)
         elif kind == KIND_DELTA:
             delta = profile_delta_from_dict(payload.get("delta") or {})
             self.repository = apply_delta_to_repository(
                 self.repository, delta
             )
+            # Indexes encode the old incidence: the serving layer rebuilds.
             self.artifacts = {
-                name: SnapshotArtifact(
-                    a.config,
-                    reassign_groups(a.groups, self.repository, delta),
-                    index=None,  # incidence changed; caller rebuilds lazily
-                )
+                name: SnapshotArtifact(a.config, a.grouping)
                 for name, a in self.artifacts.items()
             }
         else:
@@ -282,7 +288,7 @@ class DurableRepositoryStore:
         """Replace the repository wholesale (new epoch).
 
         The previous history is discarded: artifacts are replaced by
-        ``artifacts`` (the group sets the caller will serve for the new
+        ``artifacts`` (the groupings the caller will serve for the new
         population; none by default), the registry by ``configurations``
         (kept when ``None``), a fresh snapshot makes the new
         state durable, and only then is the WAL truncated.

@@ -44,8 +44,12 @@ from repro.storage import (
 
 BUDGET = 3
 
-#: Step kinds the workload runner understands.
-_KINDS = ("init", "delta", "config", "snapshot", "compact", "reset")
+#: Step kinds the workload runner understands.  ``config`` appends a
+#: configuration record without buckets; ``record`` appends a
+#: configuration record as a writer logged it, buckets included.
+_KINDS = (
+    "init", "delta", "config", "record", "snapshot", "compact", "reset"
+)
 
 
 def base_repository(seed: int = 29) -> UserRepository:
@@ -129,6 +133,9 @@ def oracle_registries(steps: list[tuple]) -> list[dict]:
     for step in steps:
         if step[0] == "config":
             registry = {**registry, step[1]["name"]: step[1]}
+        elif step[0] == "record":
+            config = step[1]["config"]
+            registry = {**registry, config["name"]: config}
         registries.append(registry)
     return registries
 
@@ -141,6 +148,8 @@ def _execute(store: DurableRepositoryStore, step: tuple) -> None:
         store.append_delta(step[1])
     elif kind == "config":
         store.append(config_record(step[1]))
+    elif kind == "record":
+        store.append(step[1])
     elif kind == "snapshot":
         store.snapshot()
     elif kind == "compact":

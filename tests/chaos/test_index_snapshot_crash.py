@@ -20,6 +20,7 @@ from repro.core import (
     GroupingConfig,
     build_instance,
     build_simple_groups,
+    grouping_of,
     instance_index,
 )
 from repro.core.persistence import load_index_npz, save_index_npz
@@ -51,7 +52,9 @@ def _artifact(repo):
     index = instance_index(instance)
     assert index.vectorizable
     return SnapshotArtifact(
-        config={"name": "default"}, groups=groups, index=index
+        config={"name": "default"},
+        grouping=grouping_of(groups),
+        index=index,
     )
 
 

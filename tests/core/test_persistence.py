@@ -1,4 +1,4 @@
-"""Unit tests for grouping-module checkpoints (group-set JSON + ``.npz``)."""
+"""Unit tests for grouping-module checkpoints (grouping JSON + ``.npz``)."""
 
 import json
 
@@ -9,59 +9,72 @@ from repro.core import (
     DatasetError,
     EBSWeights,
     build_instance,
+    grouping_of,
+    groups_from_grouping,
     instance_index,
     select_from_index,
 )
 from repro.core.persistence import (
-    group_set_from_dict,
-    group_set_to_dict,
+    grouping_from_dict,
+    grouping_to_dict,
     index_npz_mappable,
     load_index_npz,
     open_index_npz,
     payload_checksum,
     save_index_npz,
 )
+from ..oracles.groups import member_list_document
 
 
 class TestGroupSetRoundtrip:
-    def test_members_buckets_labels_survive(self, table2_groups):
-        restored = group_set_from_dict(group_set_to_dict(table2_groups))
-        assert len(restored) == len(table2_groups)
+    """A group set survives as its grouping: members derive again."""
+
+    def _roundtrip(self, groups, repo):
+        document = grouping_to_dict(grouping_of(groups))
+        grouping = grouping_from_dict(json.loads(json.dumps(document)))
+        return groups_from_grouping(repo, grouping)
+
+    def test_members_buckets_labels_survive(self, table2_groups, table2_repo):
+        restored = self._roundtrip(table2_groups, table2_repo)
+        assert restored.keys == table2_groups.keys
         for group in table2_groups:
             twin = restored.group(group.key)
             assert twin.members == group.members
             assert twin.label == group.label
             assert twin.bucket == group.bucket
 
-    def test_user_links_rebuilt(self, table2_groups):
-        restored = group_set_from_dict(group_set_to_dict(table2_groups))
+    def test_user_links_rebuilt(self, table2_groups, table2_repo):
+        restored = self._roundtrip(table2_groups, table2_repo)
         assert restored.groups_of("Alice") == table2_groups.groups_of("Alice")
 
-    def test_complex_group_none_bucket(self, table2_groups):
-        from repro.core import augment_with_intersections
+    def test_document_carries_no_members(self, table2_groups):
+        document = grouping_to_dict(grouping_of(table2_groups))
+        for entry in document["groups"]:
+            assert set(entry) == {"property", "bucket"}
 
-        augmented = augment_with_intersections(table2_groups, max_new=3)
-        restored = group_set_from_dict(group_set_to_dict(augmented))
-        complex_restored = [g for g in restored if g.bucket is None]
-        assert len(complex_restored) == 3
+    def test_member_list_document_loads_to_the_same_grouping(
+        self, table2_groups
+    ):
+        document = json.loads(json.dumps(member_list_document(table2_groups)))
+        assert grouping_from_dict(document) == grouping_of(table2_groups)
 
     def test_wrong_format_rejected(self):
         with pytest.raises(DatasetError):
-            group_set_from_dict({"format": "nope", "groups": []})
+            grouping_from_dict({"format": "nope", "groups": []})
 
 
 class TestPayloadChecksum:
     def test_independent_of_key_order_and_whitespace(self, table2_groups):
-        document = group_set_to_dict(table2_groups)
+        document = grouping_to_dict(grouping_of(table2_groups))
         reordered = json.loads(
             json.dumps(dict(reversed(list(document.items()))), indent=2)
         )
         assert payload_checksum(reordered) == payload_checksum(document)
 
     def test_detects_an_edit(self, table2_groups):
-        document = group_set_to_dict(table2_groups)
+        document = grouping_to_dict(grouping_of(table2_groups))
         edited = json.loads(json.dumps(document))
-        edited["groups"][0]["members"] = edited["groups"][0]["members"][1:]
+        edited["groups"][0]["bucket"]["label"] += "!"
         assert payload_checksum(edited) != payload_checksum(document)
 
 

@@ -1,7 +1,7 @@
 """Handoff identity: every whole-state install serves the source's groups.
 
 A process's serving state is its repository *plus* each configuration's
-frozen group set: deltas re-assign users to frozen buckets, so a regroup
+grouping, its kept buckets: deltas re-assign users to them, so a regroup
 of the same repository can draw different boundaries and answer
 ``/select`` differently.  Each test here sends deltas that move score
 distributions (and so the boundaries a fresh regroup would draw), hands
@@ -17,10 +17,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.groups import grouping_of
+from repro.core.persistence import grouping_to_dict
 from repro.core.profiles import UserProfile
 from repro.core.updates import ProfileDelta, profile_delta_to_dict
 from repro.datasets.io import profiles_to_dict
 from repro.datasets.synth import generate_profile_repository
+from repro.service import app as service_app
 from repro.service import (
     DiversificationConfiguration,
     PodiumService,
@@ -265,3 +268,92 @@ def test_store_less_pool_workers_agree_after_a_new_epoch():
     load = ("/profiles", profiles_to_dict(repo))
     answers = _diverge_probe(repo, load, "default")
     assert answers[0] == answers[1]
+
+
+def _count_groupings(monkeypatch):
+    """Record every split-strategy run of the serving layer."""
+    calls = []
+    build = service_app.build_simple_groups
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(service_app, "build_simple_groups", counted)
+    return calls
+
+
+def test_restart_after_a_put_and_deltas_before_any_later_snapshot(tmp_path):
+    """A put's WAL record carries the buckets the writer drew: recovery
+    serves them, not a regroup of the post-delta population."""
+    repo = generate_profile_repository(**POOL_REPO)
+    store = DurableRepositoryStore(tmp_path, fsync=False)
+    source = PodiumService(store=store)
+    source.load_repository(repo)
+    source.put_configuration(
+        DiversificationConfiguration(name="late", budget=6)
+    )
+    removed = frozenset(sorted(repo.user_ids)[::2][:160])
+    source.apply_profile_delta(ProfileDelta(removals=removed))
+    want = source.select("late", budget=6, explain=False)
+    regrouped = PodiumService(source.repository)
+    regrouped.put_configuration(
+        DiversificationConfiguration(name="late", budget=6)
+    )
+    assert regrouped.select("late", budget=6, explain=False) != want
+    store.release_after_fork()  # crash: no snapshot after the put
+
+    reopened = DurableRepositoryStore(tmp_path, fsync=False)
+    try:
+        assert reopened.replayed_records == 2
+        restarted = PodiumService(store=reopened)
+        assert restarted.restore_artifacts() == ["default", "late"]
+        assert restarted.select("late", budget=6, explain=False) == want
+    finally:
+        reopened.close()
+
+
+def test_a_put_runs_the_split_strategy_once_pool_wide(monkeypatch):
+    """Only the writer groups a put; each worker materializes the
+    buckets the record carries on its first read."""
+    worker_a, worker_b = _two_worker_pool(
+        generate_profile_repository(**POOL_REPO)
+    )
+    calls = _count_groupings(monkeypatch)
+    _post(worker_a, "/configurations", {"name": "late", "budget": 6})
+    select = {"configuration": "late", "budget": 6, "explain": False}
+    answers = [_post(app, "/select", select) for app in (worker_a, worker_b)]
+    assert len(calls) == 1
+    assert answers[0] == answers[1]
+
+
+def test_a_follower_applies_a_put_without_grouping(
+    primary, monkeypatch
+):
+    source, url = primary
+    follower = PodiumService()
+    tail = WalFollower(follower, url)
+    tail.resync()
+    source.put_configuration(DiversificationConfiguration(name="late"))
+    calls = _count_groupings(monkeypatch)
+    tail._poll_once()
+    assert calls == []
+    assert follower.groups_for("late").keys == source.groups_for("late").keys
+    assert _selections(follower) == _selections(source)
+
+
+def test_a_record_without_buckets_is_grouped_and_logged_with_them(
+    monkeypatch,
+):
+    """A record in the earlier format still applies: the process groups
+    it and logs the record with the buckets it drew."""
+    service = _service(_repo())
+    service.memory_log = MemoryLog()
+    calls = _count_groupings(monkeypatch)
+    late = DiversificationConfiguration(name="late", budget=6)
+    service.apply_record({"kind": "config", "config": late.to_dict()})
+    assert len(calls) == 1
+    (record,), _, _ = service.memory_log.records_since(0)
+    assert record.payload["buckets"] == grouping_to_dict(
+        grouping_of(service.groups_for("late"))
+    )

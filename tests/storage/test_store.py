@@ -6,15 +6,21 @@ groups, same selection — regardless of where in the snapshot/WAL cycle
 the process died.
 """
 
+import json
 import pytest
 
-from repro.core.errors import StorageError, UnknownUserError
+from repro.core.errors import DatasetError, StorageError, UnknownUserError
 from repro.core.greedy import select_from_index
-from repro.core.groups import GroupingConfig, build_simple_groups
+from repro.core.groups import (
+    GroupingConfig,
+    build_simple_groups,
+    grouping_of,
+)
 from repro.core.index import instance_index
 from repro.core.persistence import (
     index_source_path,
     load_index_npz,
+    payload_checksum,
     save_index_npz,
 )
 from repro.core.profiles import UserProfile
@@ -26,7 +32,10 @@ from repro.storage import (
     inspect_data_dir,
     scan_wal,
 )
+from repro.service import PodiumService
 from repro.storage.snapshot import current_snapshot_path
+
+from ..oracles.groups import member_list_document
 
 BUDGET = 4
 
@@ -139,6 +148,17 @@ class TestValidation:
             )
         store.close()
 
+    def test_malformed_buckets_rejected_before_wal_write(
+        self, repo, tmp_path
+    ):
+        store = DurableRepositoryStore(tmp_path, fsync=False)
+        store.initialize(repo)
+        record = {"kind": "config", "config": {"name": "x"}, "buckets": {}}
+        with pytest.raises(DatasetError, match="format"):
+            store.log(record)
+        assert store.last_seq == 0
+        store.close()
+
     def test_unknown_record_kind_fails_replay(self, repo, tmp_path):
         store = DurableRepositoryStore(tmp_path, fsync=False)
         store.initialize(repo)
@@ -153,7 +173,9 @@ class TestArtifacts:
         groups = build_simple_groups(repo, GroupingConfig(min_support=2))
         index = instance_index(rebuild_instance(groups, repo, BUDGET))
         return SnapshotArtifact(
-            config={"budget": BUDGET}, groups=groups, index=index
+            config={"budget": BUDGET},
+            grouping=grouping_of(groups),
+            index=index,
         )
 
     def test_selection_identical_after_reopen(self, repo, tmp_path):
@@ -201,7 +223,9 @@ class TestMappedArtifacts:
         store.set_artifacts(
             {
                 "cfg": SnapshotArtifact(
-                    config={"budget": BUDGET}, groups=groups, index=index
+                    config={"budget": BUDGET},
+                    grouping=grouping_of(groups),
+                    index=index,
                 )
             }
         )
@@ -241,6 +265,50 @@ class TestMappedArtifacts:
         assert got.selected == want.selected
         assert got.score == want.score
         reopened.close()
+
+
+class TestGroupingFiles:
+    """A snapshot stores each grouping as buckets; member lists in the
+    earlier format still load."""
+
+    def _serve_then_stop(self, repo, tmp_path):
+        store = DurableRepositoryStore(tmp_path, fsync=False)
+        service = PodiumService(store=store)
+        service.load_repository(repo)
+        want = service.select("default", budget=BUDGET, explain=False)
+        store.close()
+        return want, service.groups_for("default")
+
+    def test_groups_file_holds_buckets_only(self, repo, tmp_path):
+        self._serve_then_stop(repo, tmp_path)
+        snap = current_snapshot_path(tmp_path)
+        document = json.loads((snap / "groups-default.json").read_text())
+        assert document["format"] == "podium-grouping-v1"
+        for entry in document["groups"]:
+            assert set(entry) == {"property", "bucket"}
+
+    def test_member_list_groups_file_recovers_the_same_answers(
+        self, repo, tmp_path
+    ):
+        want, groups = self._serve_then_stop(repo, tmp_path)
+        snap = current_snapshot_path(tmp_path)
+        legacy = member_list_document(groups)
+        (snap / "groups-default.json").write_text(json.dumps(legacy))
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["configs"]["default"]["groups_crc32"] = payload_checksum(
+            legacy
+        )
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+
+        reopened = DurableRepositoryStore(tmp_path, fsync=False)
+        try:
+            restarted = PodiumService(store=reopened)
+            assert restarted.restore_artifacts() == ["default"]
+            assert list(restarted.groups_for("default")) == list(groups)
+            got = restarted.select("default", budget=BUDGET, explain=False)
+            assert got == want
+        finally:
+            reopened.close()
 
 
 class TestInspect:
