@@ -390,18 +390,28 @@ def _greedy_kernel(
             positions = np.asarray(dense, dtype=np.int64) - lo
             return positions, (positions >= 0) & (positions < n)
 
+        def drop(dense: np.ndarray, weights: np.ndarray) -> None:
+            positions, keep = locate(dense)
+            np.subtract.at(gain, positions[keep], weights[keep])
+
     else:
         slots = np.asarray(slots, dtype=np.int64)
         n = slots.size
         known = slots >= 0
-        gain = np.zeros(n, dtype=np.int64)
+        # Rows outside the pool map to one extra cell past the gains, so
+        # a drop scatters every member without filtering them first.
+        cells = np.zeros(n + 1, dtype=np.int64)
+        gain = cells[:n]
         gain[known] = base[slots[known]]
-        to_slot = np.full(index.n_users, -1, dtype=np.int64)
+        to_slot = np.full(index.n_users, n, dtype=np.int64)
         to_slot[slots[known]] = np.flatnonzero(known)
 
         def locate(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            positions = to_slot[np.asarray(dense, dtype=np.int64)]
-            return positions, positions >= 0
+            positions = to_slot[dense]
+            return positions, positions < n
+
+        def drop(dense: np.ndarray, weights: np.ndarray) -> None:
+            np.subtract.at(cells, to_slot[dense], weights)
 
     check = gate(locate, n) if gate is not None else None
     active = np.ones(n, dtype=bool)
@@ -454,11 +464,10 @@ def _greedy_kernel(
         remaining[hit] -= 1
         exhausted = hit[remaining[hit] == 0]
         if exhausted.size:
-            positions, keep = locate(index.members_of_rows(exhausted))
-            weights = np.repeat(
-                index.wei[exhausted], index.row_sizes(exhausted)
+            drop(
+                index.members_of_rows(exhausted),
+                np.repeat(index.wei[exhausted], index.row_sizes(exhausted)),
             )
-            np.subtract.at(gain, positions[keep], weights[keep])
 
     return picks, gains, score
 

@@ -20,7 +20,8 @@ Unlike the prototype, the serving path is built for sustained traffic:
 * **Vectorized selection** — plain selections run
   :func:`~repro.core.greedy.select_from_index` over the cached sparse
   index, and customized selections use the matrix customization path
-  (CSR-mask refinement + integer-rescaled derived index).
+  (a CSR row mask and a rescaled copy of the index's weights; the
+  rescaled dict instance is built only to explain).
 * **Incremental updates** — ``POST /profiles/delta`` applies a
   :class:`~repro.core.updates.ProfileDelta` through the §9 incremental
   machinery: cached group sets keep their frozen buckets and only
@@ -54,6 +55,10 @@ A selection request body::
      "feedback": {"must_have": [["avgRating Mexican", "high"]],
                   "must_not": [], "priority": [], "standard": null},
      "distribution_properties": ["avgRating Mexican"]}
+
+``feedback`` is an object, ``explain`` and ``maintained`` are JSON
+booleans and ``distribution_properties`` is a list of strings; any
+other type is a 400 naming the field.
 
 A constrained selection body (mutually exclusive with ``feedback`` and
 ``maintained``; floors/ceilings are hard per-group bounds, ``clusters``
@@ -157,8 +162,13 @@ def _parse_group_keys(pairs: Any, field_name: str) -> frozenset[GroupKey]:
 
 def parse_feedback(data: dict[str, Any] | None) -> CustomizationFeedback:
     """Parse the JSON feedback object into a :class:`CustomizationFeedback`."""
-    if not data:
+    if data is None:
         return CustomizationFeedback.none()
+    if not isinstance(data, dict):
+        raise ServiceError(
+            "field 'feedback' must be a JSON object, got "
+            f"{type(data).__name__}"
+        )
     standard = data.get("standard")
     return CustomizationFeedback(
         must_have=_parse_group_keys(data.get("must_have"), "must_have"),
@@ -1207,7 +1217,9 @@ class PodiumService:
                     effective,
                     method="matrix",
                 )
-            result = custom.result
+                result = (
+                    custom.explainable(instance) if explain else custom.result
+                )
             response = {
                 "configuration": config_name,
                 "selected": list(custom.selected),
@@ -1333,6 +1345,30 @@ def _int_field(value: Any, name: str) -> int:
         ) from None
 
 
+def _bool_field(document: dict[str, Any], name: str, default: bool) -> bool:
+    """A JSON boolean request field; ``"false"`` or ``0`` is a 400."""
+    value = document.get(name, default)
+    if not isinstance(value, bool):
+        raise ServiceError(
+            f"field {name!r} must be a JSON boolean, got "
+            f"{type(value).__name__}"
+        )
+    return value
+
+
+def _str_list_field(document: dict[str, Any], name: str) -> tuple[str, ...]:
+    """A JSON list-of-strings request field (absent means empty)."""
+    value = document.get(name, [])
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ServiceError(
+            f"field {name!r} must be a list of strings, got "
+            f"{type(value).__name__}"
+        )
+    return tuple(value)
+
+
 def _put_configuration(service, query, body, timer) -> dict[str, Any]:
     config = DiversificationConfiguration.from_dict(_read_json(body))
     service.put_configuration(config)
@@ -1381,12 +1417,12 @@ def _select(service, query, body, timer) -> dict[str, Any]:
             else None
         ),
         feedback=parse_feedback(document.get("feedback")),
-        distribution_properties=tuple(
-            str(p) for p in document.get("distribution_properties", ())
+        distribution_properties=_str_list_field(
+            document, "distribution_properties"
         ),
-        explain=bool(document.get("explain", True)),
+        explain=_bool_field(document, "explain", True),
         timer=timer,
-        maintained=bool(document.get("maintained", False)),
+        maintained=_bool_field(document, "maintained", False),
         constraints=parse_constraints(document.get("constraints")),
     )
 

@@ -7,8 +7,9 @@ plus a worker clone behind :func:`make_worker_app`.  One request
 sequence goes to both, and every request must get the same status line
 and the same JSON body: reads the worker answers itself after a sync,
 writes and log reads it forwards, and every error path — malformed
-bodies (a non-UTF-8 one included), a negative ``Content-Length``, an unknown route, a rejected
-delta and an unexpected failure inside the writer.
+bodies (a non-UTF-8 one included), ``/select`` fields of the wrong JSON
+type, a negative ``Content-Length``, an unknown route, a rejected delta
+and an unexpected failure inside the writer.
 """
 
 import contextlib
@@ -63,6 +64,46 @@ STEPS = (
     ("configuration_put", 201, "POST", "/configurations", "", _json(LATE)),
     ("malformed_json", 400, "POST", "/profiles/delta", "", b'{"upserts": '),
     ("non_object_body", 400, "POST", "/select", "", b"[1, 2]"),
+    (
+        "feedback_string",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "feedback": "x"}),
+    ),
+    (
+        "feedback_list",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "feedback": [1]}),
+    ),
+    (
+        "maintained_string",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "maintained": "false"}),
+    ),
+    (
+        "explain_string",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "explain": "no"}),
+    ),
+    (
+        "distribution_properties_string",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "distribution_properties": "ab"}),
+    ),
     (
         "non_utf8_body",
         400,
@@ -169,3 +210,18 @@ def test_writer_error_is_the_boundary_500(answers):
     assert answers["writer_error"][1][1] == {
         "error": "internal server error: RuntimeError"
     }
+
+
+@pytest.mark.parametrize(
+    "step,field",
+    [
+        ("feedback_string", "feedback"),
+        ("feedback_list", "feedback"),
+        ("maintained_string", "maintained"),
+        ("explain_string", "explain"),
+        ("distribution_properties_string", "distribution_properties"),
+    ],
+)
+def test_mistyped_select_field_is_a_400_naming_it(answers, step, field):
+    error = answers[step][0][1]["error"]
+    assert f"field {field!r} must be" in error
