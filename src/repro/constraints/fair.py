@@ -155,11 +155,13 @@ def _infeasible_deficit(
 class _FairGate:
     """Ceilings and the floor reserve, as a :func:`_greedy_kernel` gate.
 
-    Built once per solve by the kernel (``gate(locate, n)``); ``locate``
-    maps dense rows to the solve's slot positions.  ``open`` marks the
-    slots no full ceiling blocks — a ceiling-0 group is full from the
-    start, which makes it a plain exclusion (customization's must-not
-    rule) — and ``counts`` holds ``|S ∩ G|`` per group.
+    Built once per solve by the kernel (``gate(slot_of, n)``);
+    ``slot_of`` maps dense rows to the solve's slot positions, with ``n``
+    the sink for rows outside the pool.  ``open`` marks the slots no
+    full ceiling blocks — a ceiling-0 group is full from the start,
+    which makes it a plain exclusion (customization's must-not rule) —
+    over ``n + 1`` cells, so blocking scatters every member, sink
+    included; ``counts`` holds ``|S ∩ G|`` per group.
     """
 
     def __init__(
@@ -167,25 +169,25 @@ class _FairGate:
         index: InstanceIndex,
         fa: _FairArrays,
         budget: int,
-        locate,
+        slot_of,
         n: int,
     ) -> None:
         self.index = index
         self.fa = fa
         self.budget = budget
-        self.locate = locate
+        self.slot_of = slot_of
         self.counts = np.zeros(index.n_groups, dtype=np.int64)
-        self.open = np.ones(n, dtype=bool)
+        self.open = np.ones(n + 1, dtype=bool)
         self._block(fa.ceil_gids[fa.ceil_req == 0])
 
     def _block(self, full: np.ndarray) -> None:
-        positions, known = self.locate(self.index.members_of_rows(full))
-        self.open[positions[known]] = False
+        self.open[self.slot_of(self.index.members_of_rows(full))] = False
 
     def feasible(self, active: np.ndarray, picked: int) -> np.ndarray:
         """Open candidates that keep every property's floors reachable."""
         fa = self.fa
-        feasible = active & self.open
+        n = active.size
+        feasible = active & self.open[:n]
         if not fa.n_props:
             return feasible
         floor_def = np.maximum(fa.floor_req - self.counts[fa.floor_gids], 0)
@@ -195,9 +197,11 @@ class _FairGate:
         slots_after = self.budget - picked - 1
         for p in np.flatnonzero(prop_def > slots_after):
             unmet = fa.floor_gids[(fa.floor_prop == p) & (floor_def > 0)]
-            positions, known = self.locate(self.index.members_of_rows(unmet))
-            reduction = np.bincount(positions[known], minlength=active.size)
-            feasible &= reduction >= int(prop_def[p]) - slots_after
+            reduction = np.bincount(
+                self.slot_of(self.index.members_of_rows(unmet)),
+                minlength=n + 1,
+            )
+            feasible &= reduction[:n] >= int(prop_def[p]) - slots_after
         return feasible
 
     def update(self, touched: np.ndarray) -> None:

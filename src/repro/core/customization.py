@@ -18,14 +18,14 @@ Solving CUSTOM-DIVERSITY (Def. 6.3) follows the paper's Prop. 6.5 proof:
 The rescaled score remains submodular, monotone and non-negative
 (Lemma 6.6), so the (1 − 1/e) guarantee carries over.
 
-The serving path (every user indexed, integer weights) does all three
-steps on the cached :class:`~repro.core.index.InstanceIndex`: ``U'`` is
-a row mask, and the rescaled weights are a copy of the index's ``wei``
-with priority groups scaled and ignored groups set to 0 — a zero-weight
+Every array method (integer weights) does all three steps on the
+cached :class:`~repro.core.index.InstanceIndex`: ``U'`` is a row mask,
+and the rescaled weights are a copy of the index's ``wei`` with
+priority groups scaled and ignored groups set to 0 — a zero-weight
 group adds nothing to any gain, so dropping it and zeroing it select
 alike.  The dict instance of step 2 (:func:`customized_instance`) and
-its restricted index (:func:`customized_index`) serve the id-pool path,
-explanations and the references.
+its restricted index (:func:`customized_index`) serve explanations,
+the dict path (eager/lazy, weights past int64) and the references.
 """
 
 from __future__ import annotations
@@ -44,7 +44,13 @@ from .errors import (
     InvalidBudgetError,
     InvalidFeedbackError,
 )
-from .greedy import SelectionResult, _greedy_kernel, greedy_select
+from .greedy import (
+    _ARRAY_METHODS,
+    SelectionResult,
+    _id_slots,
+    _select_slots,
+    greedy_select,
+)
 from .groups import GroupKey, GroupSet
 from .index import _INT64_MAX, InstanceIndex, attach_index, instance_index
 from .instance import DiversificationInstance
@@ -155,34 +161,6 @@ def _refine_mask_index(
         forbidden=feedback.must_not,
         required_by_property=keys_by_property(feedback.must_have),
     )
-
-
-def _refine_users_index(
-    index: InstanceIndex,
-    repository: UserRepository,
-    feedback: CustomizationFeedback,
-) -> list[str]:
-    """Vectorized :func:`refine_users`: boolean masks over CSR incidence.
-
-    Users the index does not know sit in no group: they can never
-    violate must-not and only pass when there is no must-have
-    constraint — exactly the eager loop's semantics.  The returned pool
-    preserves repository iteration order, like the eager
-    implementation.  The fully-indexed serving path never calls this —
-    it stays on dense rows (:func:`_refine_mask_index`); this id-string
-    materialization exists only for repositories with users outside
-    the index.
-    """
-    eligible = _refine_mask_index(index, feedback)
-    eligible_ids = {index.users[i] for i in np.flatnonzero(eligible)}
-    if feedback.must_have:
-        return [u for u in repository.user_ids if u in eligible_ids]
-    indexed = index.user_pos
-    return [
-        u
-        for u in repository.user_ids
-        if u in eligible_ids or u not in indexed
-    ]
 
 
 def _exact_weight(weight: Weight) -> int | Fraction:
@@ -328,32 +306,6 @@ def customized_index(
     return index.restricted_scaled(active, weights)
 
 
-def _score_over_keys(
-    instance: DiversificationInstance,
-    index: InstanceIndex | None,
-    keys: frozenset[GroupKey],
-    selected: Iterable[str],
-) -> Weight:
-    """``score`` of ``selected`` restricted to the groups in ``keys``.
-
-    On a vectorizable index this is a masked gather over the cached hit
-    counts — no restricted dict instance (and hence no throwaway index
-    build) is materialized per request.
-    """
-    if not keys:
-        return 0
-    if index is not None and index.vectorizable:
-        assert index.wei is not None
-        ids = np.fromiter(
-            (index.group_pos[k] for k in keys), dtype=np.int64, count=len(keys)
-        )
-        hits = index.selection_hits(selected)
-        return int(
-            np.sum(index.wei[ids] * np.minimum(hits[ids], index.cov[ids]))
-        )
-    return subset_score(instance.restricted_to_groups(keys), selected)
-
-
 @dataclass(frozen=True)
 class CustomSelectionResult:
     """Outcome of a CUSTOM-DIVERSITY run with per-tier scores.
@@ -402,56 +354,44 @@ def custom_select(
 ) -> CustomSelectionResult:
     """Solve CUSTOM-DIVERSITY greedily (Prop. 6.5).
 
-    The default ``method="matrix"`` runs the whole pipeline on the sparse
-    index when the instance is vectorizable and indexes every user: the
-    refined pool ``U'`` is a boolean mask over the CSR incidence and the
-    rescaled weights are written into a copy of the base index's ``wei``
+    The array methods (``matrix``, ``sharded``, ``stochastic``) run the
+    whole pipeline on the sparse index when the instance is
+    vectorizable (:func:`_custom_select_rows`): the refined pool ``U'``
+    is a boolean mask over the CSR incidence and the rescaled weights
+    are written into a copy of the base index's ``wei``
     (:func:`_rescaled_index`), so no dict instance and no CSR rebuild
     happens per request; the result's ``instance`` is then ``None``
-    (see :meth:`CustomSelectionResult.explainable`).  Repositories with
-    users outside the index, the other array methods and rescaled
-    weights past int64 take the id-pool path over
-    :func:`customized_instance` and :func:`customized_index`.
-    Selections are identical to ``method="eager"`` for every feedback —
-    non-vectorizable instances transparently take the exact dict path.
+    (see :meth:`CustomSelectionResult.explainable`).  ``eager``,
+    ``lazy``, non-vectorizable instances and rescaled weights past int64
+    take the dict path: :func:`refine_users`, :func:`customized_instance`
+    and :func:`greedy_select`, with the tier scores :func:`subset_score`
+    over the restricted instance.  Selections are identical to
+    ``method="eager"`` for every feedback.
 
     Raises :class:`InfeasibleSelectionError` when the must-have/must-not
     filters eliminate every candidate.
     """
-    base_index = (
-        instance_index(instance)
-        if method in ("matrix", "sharded", "stochastic")
-        else None
-    )
-    if (
-        method == "matrix"
-        and base_index is not None
-        and base_index.vectorizable
-        and base_index.n_users == len(repository)
-    ):
-        # Fully-indexed fast path: refine, rescale and select entirely on
-        # dense rows.  No candidate id list is ever materialized — on a
-        # memory-mapped index only the ≤ budget winners are decoded.
-        fast = _custom_select_rows(
-            repository, instance, base_index, feedback, budget, rng
-        )
-        if fast is not None:
-            return fast
-    if base_index is not None and base_index.vectorizable:
-        feedback.validate(instance.groups)
-        pool = _refine_users_index(base_index, repository, feedback)
-    else:
-        pool = refine_users(repository, instance.groups, feedback)
+    if method in _ARRAY_METHODS:
+        base_index = instance_index(instance)
+        if base_index.vectorizable:
+            rows = _custom_select_rows(
+                repository, instance, base_index, feedback, budget, rng,
+                method,
+            )
+            if rows is not None:
+                return rows
+    pool = refine_users(repository, instance.groups, feedback)
     if not pool:
         raise InfeasibleSelectionError(
             "customization feedback filtered out every user"
         )
     rescaled = customized_instance(instance, feedback)
-    if base_index is not None and base_index.vectorizable:
+    if method in _ARRAY_METHODS:
         derived = customized_index(instance, feedback)
         if derived is not None:
-            # greedy_select's array backends fetch the cached index, so
-            # pre-attaching the derived build avoids the dict re-encode.
+            # Rescaled weights past int64: the derived index (not
+            # vectorizable) spares greedy_select a dict re-encode before
+            # its exact lazy fallback.
             attach_index(rescaled, derived)
     result = greedy_select(
         repository,
@@ -461,19 +401,18 @@ def custom_select(
         method=method,
         rng=rng,
     )
-    standard = feedback.resolve_standard(instance.groups)
-    priority_score = _score_over_keys(
-        instance, base_index, feedback.priority, result.selected
-    )
-    standard_score = _score_over_keys(
-        instance, base_index, standard, result.selected
-    )
+
+    def tier_score(keys: frozenset[GroupKey]) -> Weight:
+        return subset_score(
+            instance.restricted_to_groups(keys), result.selected
+        )
+
     return CustomSelectionResult(
         result=result,
         feedback=feedback,
         refined_pool_size=len(pool),
-        priority_score=priority_score,
-        standard_score=standard_score,
+        priority_score=tier_score(feedback.priority),
+        standard_score=tier_score(feedback.resolve_standard(instance.groups)),
     )
 
 
@@ -560,8 +499,9 @@ def _custom_select_rows(
     feedback: CustomizationFeedback,
     budget: int | None,
     rng: np.random.Generator | None,
+    method: str = "matrix",
 ) -> CustomSelectionResult | None:
-    """CUSTOM-DIVERSITY on dense rows (every repository user indexed).
+    """CUSTOM-DIVERSITY on dense rows, for every array ``method``.
 
     Works from the base index's arrays alone: the refined pool is a row
     mask (:func:`_refine_mask_index`), the rescaled weights are
@@ -572,41 +512,54 @@ def _custom_select_rows(
     convention); :meth:`CustomSelectionResult.explainable` builds the
     rescaled dict instance when an explanation needs it.
 
-    Selects identically to the id-pool path: the eligible rows ascend
-    in user-id order (the index invariant), so the kernel over them
-    reproduces the id-pool path's matrix greedy pick for pick, and
-    ``refined_pool_size`` equals ``len(pool)`` because no user sits
-    outside the index.  Returns ``None`` when the rescaled weights do
-    not fit int64 — the caller falls back to the exact dict path.
+    A fully indexed repository selects over its eligible rows, which
+    ascend in user-id order (the index invariant), so no id is decoded
+    but the winners'.  Otherwise the repository's ids, in ascending
+    order, map to rows as :func:`greedy_select` maps them: a user in no
+    group gets slot ``-1``, is eligible exactly when there is no
+    must-have, and can only fill the zero-gain tail.  Either way the
+    kernel runs the pool :func:`refine_users` yields, over weights equal
+    to :func:`customized_instance`'s.  Returns ``None`` when the
+    rescaled weights do not fit int64 — the caller falls back to the
+    exact dict path.
     """
     budget = instance.budget if budget is None else budget
     if budget < 1:
         raise InvalidBudgetError(f"budget must be >= 1, got {budget}")
     priority, standard = _tier_masks(base_index, feedback)
     eligible = _refine_mask_index(base_index, feedback)
-    pool_size = int(np.count_nonzero(eligible))
-    if not pool_size:
+    if base_index.n_users == len(repository):
+        ids = base_index.users
+        slots = positions = np.flatnonzero(eligible)
+    else:
+        ids = sorted(repository.user_ids)
+        rows = _id_slots(base_index, ids)
+        # Slot -1 reads the appended cell: a user in no group.
+        positions = np.flatnonzero(
+            np.append(eligible, not feedback.must_have)[rows]
+        )
+        slots = rows[positions]
+    if not slots.size:
         raise InfeasibleSelectionError(
             "customization feedback filtered out every user"
         )
     derived = _rescaled_index(base_index, priority, standard)
     if derived is None:
         return None
-    rows = np.flatnonzero(eligible)
-    picks, gains, score = _greedy_kernel(derived, rows, budget, rng)
-    picked = rows[picks]
+    picks, gains, score = _select_slots(derived, slots, budget, method, rng)
+    picked = slots[picks]
     assert base_index.wei is not None
     group_scores = base_index.wei * np.minimum(
-        base_index.row_hits(picked), base_index.cov
+        base_index.row_hits(picked[picked >= 0]), base_index.cov
     )
     return CustomSelectionResult(
         result=SelectionResult(
-            selected=tuple(str(base_index.users[r]) for r in picked),
+            selected=tuple(str(ids[positions[p]]) for p in picks),
             score=score,
             gains=tuple(gains),
         ),
         feedback=feedback,
-        refined_pool_size=pool_size,
+        refined_pool_size=int(slots.size),
         priority_score=int(group_scores[priority].sum()),
         standard_score=int(group_scores[standard].sum()),
     )

@@ -207,11 +207,7 @@ def greedy_select(
             )
         return _greedy_lazy(pool, instance, budget, rng)
     ordered = sorted(pool)
-    slots = np.fromiter(
-        (index.user_pos.get(u, -1) for u in ordered),
-        dtype=np.int64,
-        count=len(ordered),
-    )
+    slots = _id_slots(index, ordered)
     picks, gains, score = _select_slots(
         index, slots, budget, method, rng,
         shards=shards, jobs=jobs, shard_seed=shard_seed,
@@ -222,6 +218,16 @@ def greedy_select(
         score=score,
         gains=tuple(gains),
         instance=instance,
+    )
+
+
+def _id_slots(index: InstanceIndex, ordered: list[str]) -> np.ndarray:
+    """Dense rows of ``ordered`` ids; ``-1`` for an id the index does
+    not know (a user in no group)."""
+    return np.fromiter(
+        (index.user_pos.get(u, -1) for u in ordered),
+        dtype=np.int64,
+        count=len(ordered),
     )
 
 
@@ -347,10 +353,14 @@ def _greedy_kernel(
     order, so the first ``argmax`` is the minimal tied id — the eager
     tie-break.  A slot of ``-1`` is a candidate the index does not know:
     it sits in no group, keeps gain 0 and is picked in the zero-gain
-    tail at its id position.  A contiguous pool is passed as a
-    ``range``, for which no ``arange`` and no O(|U|) dense-to-slot map
-    is built — on a memory-mapped index the full-pool select and each
-    streaming shard touch only their own rows.
+    tail at its id position.  Gains live in ``n + 1`` cells: the last is
+    a sink that every row outside the pool maps to, so one slot map
+    (``slot_of``) serves the exhausted-group drop and the gate alike.  A
+    contiguous pool is passed as a ``range`` and maps a row by a shift
+    and a clamp, with no ``arange`` and no O(|U|) map — on a
+    memory-mapped index the full-pool select and each streaming shard
+    touch only their own rows; any other pool maps through one
+    dense-to-slot array.
 
     ``sample_size`` restricts each step to a uniform ``sample_rng``
     sample of that many feasible candidates (stochastic greedy); a
@@ -360,12 +370,12 @@ def _greedy_kernel(
 
     ``remaining`` is the starting per-group coverage still required
     (default ``cov``); gains are then conditioned on whatever selection
-    consumed the rest.  ``gate`` is called once as ``gate(locate, n)``
+    consumed the rest.  ``gate`` is called once as ``gate(slot_of, n)``
     and must return an object whose ``feasible(active, picked)`` gives
     the mask of slots allowed for the next pick and whose
     ``update(touched)`` records the dense groups of each pick;
-    ``locate(dense_rows)`` returns ``(positions, known)``, the slot of
-    every row and which rows are candidates.  The loop stops early when
+    ``slot_of(dense_rows)`` returns every row's slot, ``n`` (the sink)
+    for a row outside the pool.  The loop stops early when
     no candidate is feasible.  Without a gate, ``rng`` or sampling it
     also stops once the best gain is 0 and fills the rest of the budget
     with the active slots in id order — the picks the argmax would
@@ -384,36 +394,30 @@ def _greedy_kernel(
     remaining = np.array(remaining, dtype=np.int64)
     if contiguous:
         lo, n = slots.start, len(slots)
-        gain = np.asarray(base[lo:lo + n]).astype(np.int64)
+        cells = np.zeros(n + 1, dtype=np.int64)
+        cells[:n] = base[lo:lo + n]
 
-        def locate(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            positions = np.asarray(dense, dtype=np.int64) - lo
-            return positions, (positions >= 0) & (positions < n)
-
-        def drop(dense: np.ndarray, weights: np.ndarray) -> None:
-            positions, keep = locate(dense)
-            np.subtract.at(gain, positions[keep], weights[keep])
+        def slot_of(rows: np.ndarray) -> np.ndarray:
+            # Rows below ``lo`` go negative, which the unsigned view
+            # turns huge: one clamp sends them, and rows past the
+            # range, to the sink.  Every result lies in ``[0, n]``.
+            shifted = rows - lo
+            unsigned = shifted.view(f"u{shifted.itemsize}")
+            np.minimum(unsigned, n, out=unsigned)
+            return shifted
 
     else:
         slots = np.asarray(slots, dtype=np.int64)
         n = slots.size
         known = slots >= 0
-        # Rows outside the pool map to one extra cell past the gains, so
-        # a drop scatters every member without filtering them first.
         cells = np.zeros(n + 1, dtype=np.int64)
-        gain = cells[:n]
-        gain[known] = base[slots[known]]
+        cells[:n][known] = base[slots[known]]
         to_slot = np.full(index.n_users, n, dtype=np.int64)
         to_slot[slots[known]] = np.flatnonzero(known)
+        slot_of = to_slot.__getitem__
 
-        def locate(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            positions = to_slot[dense]
-            return positions, positions < n
-
-        def drop(dense: np.ndarray, weights: np.ndarray) -> None:
-            np.subtract.at(cells, to_slot[dense], weights)
-
-    check = gate(locate, n) if gate is not None else None
+    gain = cells[:n]
+    check = gate(slot_of, n) if gate is not None else None
     active = np.ones(n, dtype=bool)
     picks: list[int] = []
     gains: list[Weight] = []
@@ -464,8 +468,9 @@ def _greedy_kernel(
         remaining[hit] -= 1
         exhausted = hit[remaining[hit] == 0]
         if exhausted.size:
-            drop(
-                index.members_of_rows(exhausted),
+            np.subtract.at(
+                cells,
+                slot_of(index.members_of_rows(exhausted)),
                 np.repeat(index.wei[exhausted], index.row_sizes(exhausted)),
             )
 
@@ -571,11 +576,11 @@ def _select_slots(
     method: str,
     rng: np.random.Generator | None,
     *,
-    shards: int,
-    jobs: int | None,
-    shard_seed: int,
-    epsilon: float,
-    sample_ratio: float | None,
+    shards: int = 4,
+    jobs: int | None = 1,
+    shard_seed: int = 0,
+    epsilon: float = 0.1,
+    sample_ratio: float | None = None,
 ) -> tuple[list[int], list[Weight], int]:
     """Run one array backend over ``slots`` (see :func:`_greedy_kernel`).
 

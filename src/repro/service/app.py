@@ -139,6 +139,8 @@ from .config import (
     ConfigurationStore,
     DiversificationConfiguration,
     default_configuration,
+    json_int,
+    json_str_list,
 )
 from .metrics import ServiceMetrics, StageTimer, request_log_record
 from .viz import explanation_payload
@@ -1117,11 +1119,18 @@ class PodiumService:
         repository = self._repository_or_raise()
         with timer.stage("selection"):
             index: InstanceIndex = instance_index(instance)
-            if not index.vectorizable or index.n_users != len(repository):
+            if not index.vectorizable:
                 raise ServiceError(
                     "constrained selection requires a vectorizable "
-                    "instance covering every user; this configuration's "
-                    "weights do not fit the sparse index"
+                    "instance; this configuration's weights do not fit "
+                    "the sparse index (int64)"
+                )
+            outside = len(repository) - index.n_users
+            if outside:
+                raise ServiceError(
+                    "constrained selection requires every user in some "
+                    f"group; {outside} user(s) are in no group of this "
+                    "configuration"
                 )
             partition = None
             if spec.clusters is not None:
@@ -1333,13 +1342,16 @@ def _read_json(body: bytes) -> dict[str, Any]:
     return document
 
 
-def _int_field(value: Any, name: str) -> int:
-    """Parse an integer request field; malformed input is a 400, not a 500."""
+def _query_int(
+    query: dict[str, str], name: str, default: int | None
+) -> int | None:
+    """A decimal query-string integer; malformed input is a 400."""
+    value = query.get(name)
+    if value is None:
+        return default
     try:
-        if isinstance(value, bool):
-            raise TypeError("booleans are not budgets")
         return int(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ServiceError(
             f"field {name!r} must be an integer, got {value!r}"
         ) from None
@@ -1354,19 +1366,6 @@ def _bool_field(document: dict[str, Any], name: str, default: bool) -> bool:
             f"{type(value).__name__}"
         )
     return value
-
-
-def _str_list_field(document: dict[str, Any], name: str) -> tuple[str, ...]:
-    """A JSON list-of-strings request field (absent means empty)."""
-    value = document.get(name, [])
-    if not isinstance(value, list) or not all(
-        isinstance(item, str) for item in value
-    ):
-        raise ServiceError(
-            f"field {name!r} must be a list of strings, got "
-            f"{type(value).__name__}"
-        )
-    return tuple(value)
 
 
 def _put_configuration(service, query, body, timer) -> dict[str, Any]:
@@ -1388,16 +1387,14 @@ def _apply_delta(service, query, body, timer) -> dict[str, Any]:
 
 def _wal_tail(service, query, body, timer) -> dict[str, Any]:
     return service.wal_records_since(
-        _int_field(query.get("from_seq", 0), "from_seq"),
-        _int_field(query.get("limit", 256), "limit"),
+        _query_int(query, "from_seq", 0), _query_int(query, "limit", 256)
     )
 
 
 def _explain_page(service, query, body, timer) -> bytes:
-    budget = query.get("budget")
     return service.explanation_page(
         query.get("configuration", "default"),
-        None if budget is None else _int_field(budget, "budget"),
+        _query_int(query, "budget", None),
         timer=timer,
     ).encode()
 
@@ -1412,13 +1409,14 @@ def _select(service, query, body, timer) -> dict[str, Any]:
     return service.select(
         config_name=str(document.get("configuration", "default")),
         budget=(
-            _int_field(document["budget"], "budget")
+            json_int(document["budget"], "budget")
             if "budget" in document
             else None
         ),
         feedback=parse_feedback(document.get("feedback")),
-        distribution_properties=_str_list_field(
-            document, "distribution_properties"
+        distribution_properties=json_str_list(
+            document.get("distribution_properties", []),
+            "distribution_properties",
         ),
         explain=_bool_field(document, "explain", True),
         timer=timer,

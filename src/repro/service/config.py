@@ -24,6 +24,27 @@ from ..core.weights import (
 )
 
 
+def json_int(value: Any, name: str) -> int:
+    """A JSON integer field; a bool, float or string is a 400 naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(
+            f"field {name!r} must be a JSON integer, got {value!r}"
+        )
+    return value
+
+
+def json_str_list(value: Any, name: str) -> tuple[str, ...]:
+    """A JSON list-of-strings field; anything else is a 400 naming it."""
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ServiceError(
+            f"field {name!r} must be a list of strings, got "
+            f"{type(value).__name__}"
+        )
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class DiversificationConfiguration:
     """A named, administrator-provided selection preset."""
@@ -105,14 +126,20 @@ class DiversificationConfiguration:
                 name=str(data["name"]),
                 description=str(data.get("description", "")),
                 property_prefixes=(
-                    tuple(prefixes) if prefixes is not None else None
+                    json_str_list(prefixes, "property_prefixes")
+                    if prefixes is not None
+                    else None
                 ),
                 weight_scheme=str(data.get("weight_scheme", "LBS")),
                 coverage_scheme=str(data.get("coverage_scheme", "Single")),
-                budget=int(data.get("budget", 8)),
-                buckets_per_property=int(data.get("buckets_per_property", 3)),
+                budget=json_int(data.get("budget", 8), "budget"),
+                buckets_per_property=json_int(
+                    data.get("buckets_per_property", 3), "buckets_per_property"
+                ),
                 bucketing_strategy=str(data.get("bucketing_strategy", "jenks")),
-                min_support=int(data.get("min_support", 1)),
+                min_support=json_int(
+                    data.get("min_support", 1), "min_support"
+                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed configuration: {exc}") from exc

@@ -105,6 +105,79 @@ STEPS = (
         _json({"configuration": "c", "distribution_properties": "ab"}),
     ),
     (
+        "budget_float",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "budget": 2.9}),
+    ),
+    (
+        "budget_string",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "budget": "2"}),
+    ),
+    (
+        "budget_infinity",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "budget": float("inf")}),
+    ),
+    (
+        "budget_negative_infinity",
+        400,
+        "POST",
+        "/select",
+        "",
+        _json({"configuration": "c", "budget": float("-inf")}),
+    ),
+    (
+        "budget_past_float_range",
+        400,
+        "POST",
+        "/select",
+        "",
+        b'{"configuration": "c", "budget": 1e400}',
+    ),
+    (
+        "configuration_budget_float",
+        400,
+        "POST",
+        "/configurations",
+        "",
+        _json({**LATE, "name": "f", "budget": 2.5}),
+    ),
+    (
+        "configuration_buckets_infinity",
+        400,
+        "POST",
+        "/configurations",
+        "",
+        _json({**LATE, "name": "f", "buckets_per_property": float("inf")}),
+    ),
+    (
+        "configuration_min_support_string",
+        400,
+        "POST",
+        "/configurations",
+        "",
+        _json({**LATE, "name": "f", "min_support": "1"}),
+    ),
+    (
+        "configuration_prefixes_string",
+        400,
+        "POST",
+        "/configurations",
+        "",
+        _json({**LATE, "name": "f", "property_prefixes": "pq"}),
+    ),
+    ("configurations_after_rejects", 200, "GET", "/configurations", "", b""),
+    (
         "non_utf8_body",
         400,
         "POST",
@@ -220,8 +293,36 @@ def test_writer_error_is_the_boundary_500(answers):
         ("maintained_string", "maintained"),
         ("explain_string", "explain"),
         ("distribution_properties_string", "distribution_properties"),
+        ("budget_float", "budget"),
+        ("budget_string", "budget"),
+        ("budget_infinity", "budget"),
+        ("budget_negative_infinity", "budget"),
+        ("budget_past_float_range", "budget"),
     ],
 )
 def test_mistyped_select_field_is_a_400_naming_it(answers, step, field):
     error = answers[step][0][1]["error"]
     assert f"field {field!r} must be" in error
+
+
+@pytest.mark.parametrize(
+    "step,field",
+    [
+        ("configuration_budget_float", "budget"),
+        ("configuration_buckets_infinity", "buckets_per_property"),
+        ("configuration_min_support_string", "min_support"),
+        ("configuration_prefixes_string", "property_prefixes"),
+    ],
+)
+def test_mistyped_configuration_field_is_a_400_naming_it(
+    answers, step, field
+):
+    error = answers[step][0][1]["error"]
+    assert f"field {field!r} must be" in error
+
+
+def test_rejected_configurations_are_not_stored(answers):
+    single, pool = answers["configurations_after_rejects"]
+    assert pool == single
+    names = {c["name"] for c in single[1]}
+    assert "late" in names and "f" not in names

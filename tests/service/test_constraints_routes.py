@@ -230,6 +230,49 @@ class TestRejections:
         assert status == 400
         assert "maintained" in body["error"]
 
+    def test_users_in_no_group_are_counted_in_the_400(self, service, client):
+        # Only Alice and David live in Tokyo: three users are in no group.
+        service.configurations.put(
+            DiversificationConfiguration(
+                name="tokyo", property_prefixes=("livesIn Tokyo",), budget=2
+            )
+        )
+        status, body = client(
+            "POST",
+            "/select",
+            {
+                "configuration": "tokyo",
+                "constraints": {"ceilings": [["livesIn Tokyo", "true", 1]]},
+            },
+        )
+        assert status == 400
+        assert "3 user(s) are in no group" in body["error"]
+        assert "weights" not in body["error"]
+        feedback = {"priority": [["livesIn Tokyo", "true"]]}
+        for extra in ({}, {"feedback": feedback}):
+            status, _ = client(
+                "POST", "/select", {"configuration": "tokyo", **extra}
+            )
+            assert status == 200
+
+    def test_weights_past_int64_name_the_weights(self, service, client):
+        service.configurations.put(
+            DiversificationConfiguration(
+                name="ebs", weight_scheme="EBS", budget=20
+            )
+        )
+        status, body = client(
+            "POST",
+            "/select",
+            {
+                "configuration": "ebs",
+                "constraints": {"ceilings": [["livesIn Tokyo", "true", 1]]},
+            },
+        )
+        assert status == 400
+        assert "weights do not fit the sparse index (int64)" in body["error"]
+        assert "no group" not in body["error"]
+
 
 class TestMetricsCounters:
     def test_mode_and_verdict_counters(self, service):
